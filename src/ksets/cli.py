@@ -22,7 +22,7 @@ from .construct import (
     reduce_critical,
     table_recipe,
 )
-from .errors import KSError
+from .errors import KSError, SetSyntaxError
 from .model import KSSet, symbol
 from .setfile import parse, serialize
 from .verify import Mode, export_cnf, find_assignment, is_critical, is_parity
@@ -35,7 +35,11 @@ def _load_set(ref: str) -> KSSet:
     path = Path(ref)
     if not path.exists():
         raise KSError(f"{ref!r} is neither a catalog name nor an existing file")
-    return parse(path.read_text(), name=path.stem)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SetSyntaxError(f"{ref!r} is not UTF-8 text: {exc.reason}") from None
+    return parse(text, name=path.stem)
 
 
 def _yesno(flag: bool) -> str:

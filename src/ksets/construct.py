@@ -630,24 +630,24 @@ def apply_transform(s: KSSet, matrix: list[list[CycNum]]) -> KSSet:
 
 def reduce_critical(s: KSSet, mode: Mode = Mode.FULL) -> KSSet:
     """Greedily remove contexts whose removal keeps the set uncolorable,
-    scanning in ascending context order until no removal survives; the
-    remainder is critical by construction."""
+    in one scan in ascending context order; the remainder is critical.
+
+    One scan suffices: a context c is kept when active - c has a coloring,
+    and that coloring, restricted to the projectors still allowed, colors
+    every subset of active - c.  Later removals only shrink active, so c
+    stays necessary and a second scan would remove nothing."""
     ensure_valid(s)
     if find_assignment(s, mode) is not None:
         raise NotKSError("set is colorable; nothing to reduce")
     problem = _compile(s, mode)
     active = list(range(len(problem.ctx_masks)))
-    changed = True
-    while changed:
-        changed = False
-        for ci in list(active):
-            trial = [c for c in active if c != ci]
-            allowed = 0
-            for c in trial:
-                allowed |= problem.ctx_masks[c]
-            if _solve(problem, trial, allowed) is None:
-                active = trial
-                changed = True
+    for ci in list(active):
+        trial = [c for c in active if c != ci]
+        allowed = 0
+        for c in trial:
+            allowed |= problem.ctx_masks[c]
+        if _solve(problem, trial, allowed) is None:
+            active = trial
     keep = set(active)
     contexts = [tuple(s.contexts[ci]) for ci in sorted(keep)]
     used = {pid for ctx in contexts for pid in ctx}

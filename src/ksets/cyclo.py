@@ -269,6 +269,49 @@ def _poly_invert(a: list[Fraction]) -> list[Fraction]:
     return out[:DEGREE]
 
 
+# Kronecker substitution z -> X = 2^64.  N = X^8 - X^4 + 1 is the minimal
+# polynomial at X, so z -> X is a ring homomorphism from Z[z] onto the
+# integers mod N (and X^24 = 1 mod N).  An element whose reduced integer
+# coefficients all lie below X/4 in absolute value is determined by its
+# image (see unpack).
+PACK_BITS = 64
+PACK_BASE = 1 << PACK_BITS
+PACK_MOD = PACK_BASE**8 - PACK_BASE**4 + 1
+
+
+def pack(x: CycNum) -> int:
+    """Image of the numerator of x: the sum of num[k] * X^k, unreduced.
+
+    The denominator is the caller's to track.
+    """
+    out = 0
+    for c in reversed(x.num):
+        out = (out << PACK_BITS) + c
+    return out
+
+
+def unpack(t: int, den: int) -> CycNum:
+    """The element with image t mod N over den, reading the balanced residue
+    as eight balanced base-X digits.
+
+    Exact only when every reduced integer coefficient of the numerator is
+    below X/4 in absolute value: the numerator is then below N/2 in absolute
+    value, so the balanced residue is the numerator itself.
+    """
+    t %= PACK_MOD
+    if t > PACK_MOD >> 1:
+        t -= PACK_MOD
+    half, mask = PACK_BASE >> 1, PACK_BASE - 1
+    num = []
+    for _ in range(DEGREE):
+        c = t & mask
+        if c >= half:
+            c -= PACK_BASE
+        num.append(c)
+        t = (t - c) >> PACK_BITS
+    return CycNum(num, den)
+
+
 def zeta(k: int = 1) -> CycNum:
     """z^k for the primitive 24th root of unity z."""
     return CycNum(_POW[k % 24])
@@ -324,7 +367,10 @@ def parse_scalar(text: str) -> CycNum:
         if not m or m.end() == pos or (m.group("rat") is None and m.group("atom") is None):
             raise ScalarSyntaxError(f"bad term in scalar entry {text!r}")
         pos = m.end()
-        coeff = Fraction(m.group("rat")) if m.group("rat") else Fraction(1)
+        try:
+            coeff = Fraction(m.group("rat")) if m.group("rat") else Fraction(1)
+        except ZeroDivisionError:
+            raise ScalarSyntaxError(f"zero denominator in scalar entry {text!r}") from None
         if sign < 0:
             coeff = -coeff
         atom = m.group("atom")

@@ -8,15 +8,20 @@ never a tolerance anywhere in the model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import lcm, prod
+from operator import mul
 
-from .cyclo import CycNum, ZERO
+from .cyclo import PACK_BASE, PACK_MOD, CycNum, ZERO, pack, unpack
 from .errors import DimensionMismatch, ValidationError
 
 
 class Ray:
     """A nonzero vector regarded projectively: scalar multiples are equal."""
 
-    __slots__ = ("entries", "support", "_canon")
+    __slots__ = (
+        "entries", "support", "_canon", "_vals", "_conjs", "_lcm", "_norm1"
+    )
 
     def __init__(self, entries):
         self.entries: tuple[CycNum, ...] = tuple(entries)
@@ -24,6 +29,24 @@ class Ray:
             i for i, e in enumerate(self.entries) if not e.is_zero()
         )
         self._canon = None
+        self._vals = None
+
+    def _pack(self) -> None:
+        """Cache the packed image (see cyclo.pack) of the entries scaled by
+        the lcm of their denominators, of their conjugates, that lcm and the
+        L1 norm of the scaled integer numerators."""
+        l = lcm(*(e.den for e in self.entries))
+        vals, conjs, norm1 = [], [], 0
+        for e in self.entries:
+            m = l // e.den
+            v = pack(e) * m
+            vals.append(v)
+            conjs.append(v if e.israt else pack(e.conj()) * m)
+            norm1 += m * sum(map(abs, e.num))
+        self._vals = tuple(vals)
+        self._conjs = self._vals if conjs == vals else tuple(conjs)
+        self._lcm = l
+        self._norm1 = norm1
 
     @property
     def dimension(self) -> int:
@@ -66,7 +89,7 @@ class Projector:
     def dimension(self) -> int:
         return self.span[0].dimension
 
-    @property
+    @cached_property
     def support(self) -> frozenset[int]:
         out: frozenset[int] = frozenset()
         for ray in self.span:
@@ -119,9 +142,24 @@ class KSSet:
 
 
 def inner(u: Ray, v: Ray) -> CycNum:
-    """Hermitian inner product, conjugate-linear in the first argument."""
+    """Hermitian inner product, conjugate-linear in the first argument.
+
+    Computed from the packed images (see cyclo.pack) when 16 |u|_1 |v|_1 < X,
+    with |.|_1 the L1 norm of the scaled integer numerators.  Each z^m
+    reduces to at most two terms +-1, so every reduced coefficient of the
+    scaled result is at most 2 |u|_1 |v|_1 < X/8 in absolute value, inside
+    the X/4 under which unpack is exact.  Larger entries take the
+    field-arithmetic loop.
+    """
     if u.dimension != v.dimension:
         raise DimensionMismatch(f"dimensions {u.dimension} != {v.dimension}")
+    if u._vals is None:
+        u._pack()
+    if v._vals is None:
+        v._pack()
+    if 16 * u._norm1 * v._norm1 < PACK_BASE:
+        t = sum(map(mul, u._conjs, v._vals)) % PACK_MOD
+        return unpack(t, u._lcm * v._lcm) if t else ZERO
     acc = ZERO
     common = u.support & v.support
     for i in common:
@@ -151,8 +189,33 @@ def projector_orthogonal(p: Projector, q: Projector) -> bool:
     return True
 
 
+def _image_outside(u: Ray, basis: tuple[Ray, ...]) -> bool:
+    """True when the image mod N of the division-free projection residual
+    (prod n_k) u - sum_k <q_k,u> (prod_{j!=k} n_j) q_k, with n_k = <q_k,q_k>,
+    is nonzero.  That proves u is outside span(basis) for an orthogonal
+    basis; a zero image decides nothing."""
+    for ray in (u, *basis):
+        if ray._vals is None:
+            ray._pack()
+    norms = [sum(map(mul, q._conjs, q._vals)) % PACK_MOD for q in basis]
+    coefs = [
+        sum(map(mul, q._conjs, u._vals))
+        * prod(norms[:k] + norms[k + 1:])
+        % PACK_MOD
+        for k, q in enumerate(basis)
+    ]
+    total = prod(norms) % PACK_MOD
+    for i, a in enumerate(u._vals):
+        r = total * a - sum(c * q._vals[i] for c, q in zip(coefs, basis))
+        if r % PACK_MOD:
+            return True
+    return False
+
+
 def _residual(u: Ray, basis: tuple[Ray, ...]) -> bool:
     """True when u has zero residual after projection onto span(basis)."""
+    if _image_outside(u, basis):
+        return False
     entries = list(u.entries)
     for q in basis:
         overlap = ZERO
@@ -344,14 +407,17 @@ def orthogonality_graph(s: KSSet) -> dict[str, frozenset[str]]:
     if s._graph is not None:
         return s._graph
     ids = list(s.projectors)
-    adj: dict[str, set[str]] = {pid: set() for pid in ids}
+    # Neighbour lists (each pair is visited once), turned into frozensets one
+    # at a time: a dense graph on a few hundred projectors holds megabytes
+    # of hash tables, so the lists and the sets never coexist in full.
+    adj: dict[str, list[str]] = {pid: [] for pid in ids}
     projs = [s.projectors[pid] for pid in ids]
     for i in range(len(ids)):
         pi = projs[i]
         for j in range(i + 1, len(ids)):
             pj = projs[j]
             if not (pi.support & pj.support) or projector_orthogonal(pi, pj):
-                adj[ids[i]].add(ids[j])
-                adj[ids[j]].add(ids[i])
-    s._graph = {pid: frozenset(nb) for pid, nb in adj.items()}
+                adj[ids[i]].append(ids[j])
+                adj[ids[j]].append(ids[i])
+    s._graph = {pid: frozenset(adj.pop(pid)) for pid in ids}
     return s._graph

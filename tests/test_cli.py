@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from ksets.cli import main
@@ -57,6 +62,34 @@ def test_verify_invalid_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(path))
     assert code == 3
     assert "error" in err
+
+
+def test_verify_zero_denominator_scalar(capsys, tmp_path):
+    path = tmp_path / "zero.ks"
+    path.write_text("dim 2\nray a 1/0 0\nray b 0 1\nctx a b\n")
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 3
+    assert "zero denominator" in err
+
+
+def test_verify_non_utf8_file(capsys, tmp_path):
+    path = tmp_path / "latin1.ks"
+    path.write_bytes("dim 2\n# caf\u00e9\nray a 1 0\nray b 0 1\nctx a b\n".encode("latin-1"))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 3
+    assert "UTF-8" in err
+
+
+def test_python_m_ksets():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ksets", "symbol", "d4-18-9"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["compact: 18-9", "detailed: 18^1_2 - 9^4_4"]
 
 
 def test_verify_missing_file(capsys):

@@ -390,6 +390,14 @@ def test_reduce_ceg_18_9(s18):
     assert symbol(out).compact == "33-16"
 
 
+@pytest.mark.parametrize("mode", [Mode.FULL, Mode.CONTEXT_ONLY])
+def test_reduce_critical_idempotent(s18, mode):
+    # one scan already leaves every kept context necessary
+    once = reduce_critical(ceg(s18, 5), mode)
+    twice = reduce_critical(once, mode)
+    assert twice.contexts == once.contexts
+
+
 def test_reduce_basic_sum(s18, s21):
     out = reduce_critical(pz_basic(s18, s21))
     assert out.n_contexts <= 63

@@ -21,12 +21,16 @@ from ksets.cyclo import (
     OMEGA3,
     OMEGA3_BAR,
     OMEGA6,
+    PACK_BASE,
+    PACK_MOD,
     SQRT2,
     SQRT3,
     ZERO,
     CycNum,
+    pack,
     parse_scalar,
     render_scalar,
+    unpack,
     zeta,
 )
 from ksets.errors import ScalarSyntaxError
@@ -202,7 +206,9 @@ def test_parse_scalar(text, value):
     assert parse_scalar(text) == value
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1+", "z^", "1 2", "--1", "w4", "1//2"])
+@pytest.mark.parametrize(
+    "bad", ["", "x", "1+", "z^", "1 2", "--1", "w4", "1//2", "1/0", "z-3/0z^2"]
+)
 def test_parse_scalar_rejects(bad):
     with pytest.raises(ScalarSyntaxError):
         parse_scalar(bad)
@@ -228,3 +234,34 @@ def test_coeffs_property_is_rational_tuple():
         Fraction(1, 2), Fraction(0), Fraction(0), Fraction(0),
         Fraction(0), Fraction(3), Fraction(0), Fraction(0),
     )
+
+
+# -- packed images ------------------------------------------------------
+
+
+def test_pack_modulus_is_minimal_polynomial_at_base():
+    assert PACK_BASE == 2**64
+    assert PACK_MOD == PACK_BASE**8 - PACK_BASE**4 + 1
+    assert pow(PACK_BASE, 24, PACK_MOD) == 1
+
+
+def test_pack_zeta_powers():
+    for k in range(24):
+        assert pack(zeta(k)) % PACK_MOD == pow(PACK_BASE, k, PACK_MOD)
+
+
+@given(cycnums, cycnums)
+@settings(max_examples=100)
+def test_pack_round_trip_and_ring_homomorphism(x, y):
+    assert unpack(pack(x), x.den) == x
+    assert unpack(pack(x) % PACK_MOD, x.den) == x
+    # small coefficients keep these results within the exact range of unpack
+    den = x.den * y.den
+    assert unpack(pack(x) * pack(y), den) == x * y
+    assert unpack(pack(x) * y.den + pack(y) * x.den, den) == x + y
+    assert unpack(pack(x.conj()), x.den) == x.conj()
+
+
+def test_unpack_reads_negative_digits():
+    x = CycNum((-(2**62), 3, -1, 0, 0, 0, 0, 2**62 - 1))
+    assert unpack(pack(x), 1) == x

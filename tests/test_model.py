@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import basis_set, make_ray
-from ksets.cyclo import CycNum, zeta
+from ksets.cyclo import OMEGA3, PACK_BASE, SQRT2, ZERO, CycNum, zeta
 from ksets.errors import DimensionMismatch
 from ksets.model import (
     KSSet,
@@ -259,3 +259,87 @@ def test_ksset_equality_ignores_context_order(s18):
         [tuple(reversed(c)) for c in s18.contexts],
     )
     assert clone == s18
+
+
+# -- packed inner-product kernel -------------------------------------------
+
+
+def _reference_inner(u: Ray, v: Ray) -> CycNum:
+    acc = ZERO
+    for a, b in zip(u.entries, v.entries):
+        acc = acc + a.conj() * b
+    return acc
+
+
+_small = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+_huge = st.integers(min_value=-(2**40), max_value=2**40)
+
+
+def _scalars(coeffs):
+    return st.lists(coeffs, min_size=8, max_size=8).map(CycNum.from_coeffs)
+
+
+@st.composite
+def _field_rays(draw, dimension=3):
+    # rays with huge coefficients push the product of L1 norms past the
+    # packing bound, so the fallback loop runs as well as the packed kernel
+    coeffs = st.one_of(_small, _huge) if draw(st.booleans()) else _small
+    entries = st.one_of(st.just(ZERO), _scalars(coeffs))
+    return Ray(draw(st.lists(entries, min_size=dimension, max_size=dimension)))
+
+
+@given(_field_rays(), _field_rays())
+@settings(max_examples=100)
+def test_inner_matches_reference_sum(u, v):
+    assert inner(u, v) == _reference_inner(u, v)
+
+
+@given(_field_rays(dimension=2), _scalars(_small), _scalars(_small))
+@settings(max_examples=50)
+def test_inner_zero_on_constructed_orthogonal_pairs(u, c, t):
+    # (x, y) is orthogonal to c (-conj(y), conj(x)); the third coordinate is
+    # outside the second ray's support
+    x, y = u.entries
+    a = Ray((x, y, t))
+    b = Ray((-c * y.conj(), c * x.conj(), ZERO))
+    assert inner(a, b) == ZERO
+    assert inner(b, a) == ZERO
+    assert inner(a, a) == _reference_inner(a, a)
+
+
+def test_inner_takes_both_sides_of_the_packing_bound():
+    small = Ray((CycNum((1, 2, 0, 0, -3, 0, 0, 1), 5), SQRT2, OMEGA3))
+    big = Ray((CycNum((2**31, 0, 0, 0, 0, 0, 0, -(2**31))), OMEGA3, zeta(5)))
+    for ray in (small, big):
+        ray._pack()
+    assert 16 * small._norm1 * small._norm1 < PACK_BASE
+    assert 16 * big._norm1 * big._norm1 >= PACK_BASE
+    for u in (small, big):
+        for v in (small, big):
+            assert inner(u, v) == _reference_inner(u, v)
+
+
+def test_projector_equal_plane_in_two_complex_bases():
+    # a1 and a2 have equal norms, so b1 = a1 + t a2 and b2 = -conj(t) a1 + a2
+    # are an orthogonal basis of the same plane
+    x, y, t = CycNum.from_rational(1), OMEGA3, SQRT2 + zeta(1)
+    a1 = (x, y, ZERO, ZERO)
+    a2 = (-y.conj(), x.conj(), ZERO, ZERO)
+    b1 = tuple(p + t * q for p, q in zip(a1, a2))
+    b2 = tuple(-t.conj() * p + q for p, q in zip(a1, a2))
+    p = Projector((Ray(a1), Ray(a2)))
+    q = Projector((Ray(b1), Ray(b2)))
+    assert inner(q.span[0], q.span[1]).is_zero()
+    assert p.support == q.support
+    assert projector_equal(p, q)
+    assert projector_equal(q, p)
+
+
+def test_projector_equal_false_for_planes_with_same_support():
+    p = Projector((make_ray(1, 0, 1), make_ray(0, 1, 0)))
+    q = Projector((make_ray(1, 0, -1), make_ray(0, 1, 0)))
+    r = Projector((Ray((OMEGA3, ZERO, CycNum.from_rational(1))), make_ray(0, 1, 0)))
+    assert p.support == q.support == r.support
+    assert not projector_equal(p, q)
+    assert not projector_equal(p, r)
+    assert not projector_equal(r, q)
