@@ -28,6 +28,7 @@ from .verify import (
     Assignment,
     CriticalityReport,
     Mode,
+    SearchStats,
     export_cnf,
     find_assignment,
     is_critical,
@@ -46,6 +47,7 @@ __all__ = [
     "Mode",
     "Projector",
     "Ray",
+    "SearchStats",
     "Symbol",
     "ValidationReport",
     "export_cnf",

@@ -28,7 +28,16 @@ from .model import (
     ensure_valid,
     projector_equal,
 )
-from .verify import Mode, _compile, _solve, find_assignment, is_parity
+# find_assignment stays bound here: the benchmark's tracer (perfbench/spans.py)
+# wraps it in every module that binds it, and its own tests check that.
+from .verify import (  # noqa: F401
+    Mode,
+    SearchStats,
+    _compile_uncolorable,
+    _solve,
+    find_assignment,
+    is_parity,
+)
 
 
 def _pad_ray(ray: Ray, prepend: int, append: int) -> Ray:
@@ -628,28 +637,30 @@ def apply_transform(s: KSSet, matrix: list[list[CycNum]]) -> KSSet:
     return out
 
 
-def reduce_critical(s: KSSet, mode: Mode = Mode.FULL) -> KSSet:
+def reduce_critical(
+    s: KSSet, mode: Mode = Mode.FULL, stats: SearchStats | None = None
+) -> KSSet:
     """Greedily remove contexts whose removal keeps the set uncolorable,
     in one scan in ascending context order; the remainder is critical.
+    The counts of every search are added to stats when it is given.
 
     One scan suffices: a context c is kept when active - c has a coloring,
     and that coloring, restricted to the projectors still allowed, colors
     every subset of active - c.  Later removals only shrink active, so c
     stays necessary and a second scan would remove nothing."""
-    ensure_valid(s)
-    if find_assignment(s, mode) is not None:
-        raise NotKSError("set is colorable; nothing to reduce")
-    problem = _compile(s, mode)
-    active = list(range(len(problem.ctx_masks)))
-    for ci in list(active):
-        trial = [c for c in active if c != ci]
-        allowed = 0
-        for c in trial:
-            allowed |= problem.ctx_masks[c]
-        if _solve(problem, trial, allowed) is None:
-            active = trial
-    keep = set(active)
-    contexts = [tuple(s.contexts[ci]) for ci in sorted(keep)]
+    problem, orth, allowed = _compile_uncolorable(
+        s, mode, stats, "nothing to reduce")
+    ctx_masks = problem.ctx_masks
+    active = (1 << len(ctx_masks)) - 1  # bit ci: context ci is kept so far
+    for ci in range(len(ctx_masks)):
+        trial = active & ~(1 << ci)
+        trial_orth, trial_allowed = problem.drop_context(ci, trial, orth, allowed)
+        masks = [m for c, m in enumerate(ctx_masks) if trial >> c & 1]
+        if _solve(masks, trial_orth, trial_allowed, stats) is None:
+            active, orth, allowed = trial, trial_orth, trial_allowed
+    contexts = [
+        tuple(ctx) for ci, ctx in enumerate(s.contexts) if active >> ci & 1
+    ]
     used = {pid for ctx in contexts for pid in ctx}
     projs = {pid: p for pid, p in s.projectors.items() if pid in used}
     out = KSSet(s.dimension, projs, contexts, name=s.name)

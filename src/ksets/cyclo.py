@@ -369,15 +369,17 @@ def parse_scalar(text: str) -> CycNum:
         pos = m.end()
         try:
             coeff = Fraction(m.group("rat")) if m.group("rat") else Fraction(1)
+            exp = int(m.group("exp")) if m.group("exp") else 1
         except ZeroDivisionError:
             raise ScalarSyntaxError(f"zero denominator in scalar entry {text!r}") from None
+        except ValueError:  # more digits than int() converts
+            raise ScalarSyntaxError(f"number too long in scalar entry {text!r}") from None
         if sign < 0:
             coeff = -coeff
         atom = m.group("atom")
         if atom is None:
             value = CycNum.from_rational(coeff)
         elif atom.startswith("z"):
-            exp = int(m.group("exp")) if m.group("exp") else 1
             value = CycNum.from_rational(coeff) * zeta(exp)
         else:
             value = CycNum.from_rational(coeff) * _ALIASES[atom]

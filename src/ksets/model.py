@@ -151,8 +151,10 @@ def inner(u: Ray, v: Ray) -> CycNum:
     the X/4 under which unpack is exact.  Larger entries take the
     field-arithmetic loop.
     """
-    if u.dimension != v.dimension:
-        raise DimensionMismatch(f"dimensions {u.dimension} != {v.dimension}")
+    # Pairwise checks compare entry counts: they run once per pair, and the
+    # dimension properties cost more than the comparison itself.
+    if len(u.entries) != len(v.entries):
+        raise DimensionMismatch(f"dimensions {len(u.entries)} != {len(v.entries)}")
     if u._vals is None:
         u._pack()
     if v._vals is None:
@@ -169,8 +171,8 @@ def inner(u: Ray, v: Ray) -> CycNum:
 
 def ray_equal(u: Ray, v: Ray) -> bool:
     """True when the rays are proportional (the same projective point)."""
-    if u.dimension != v.dimension:
-        raise DimensionMismatch(f"dimensions {u.dimension} != {v.dimension}")
+    if len(u.entries) != len(v.entries):
+        raise DimensionMismatch(f"dimensions {len(u.entries)} != {len(v.entries)}")
     if u.support != v.support:
         return False
     return u.canonical() == v.canonical()
@@ -178,10 +180,9 @@ def ray_equal(u: Ray, v: Ray) -> bool:
 
 def projector_orthogonal(p: Projector, q: Projector) -> bool:
     """True when every span ray of p is orthogonal to every span ray of q."""
-    if p.dimension != q.dimension:
-        raise DimensionMismatch(
-            f"dimensions {p.dimension} != {q.dimension}"
-        )
+    dp, dq = len(p.span[0].entries), len(q.span[0].entries)
+    if dp != dq:
+        raise DimensionMismatch(f"dimensions {dp} != {dq}")
     for u in p.span:
         for v in q.span:
             if u.support & v.support and not inner(u, v).is_zero():
@@ -232,10 +233,9 @@ def _residual(u: Ray, basis: tuple[Ray, ...]) -> bool:
 
 def projector_equal(p: Projector, q: Projector) -> bool:
     """True when p and q are the same subspace."""
-    if p.dimension != q.dimension:
-        raise DimensionMismatch(
-            f"dimensions {p.dimension} != {q.dimension}"
-        )
+    dp, dq = len(p.span[0].entries), len(q.span[0].entries)
+    if dp != dq:
+        raise DimensionMismatch(f"dimensions {dp} != {dq}")
     if p.rank != q.rank:
         return False
     if p.rank == 1:

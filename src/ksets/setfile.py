@@ -40,9 +40,14 @@ def parse(text: str, name: str | None = None) -> KSSet:
         tokens = line.split()
         keyword = tokens[0]
         if dimension is None:
-            if keyword != "dim" or len(tokens) != 2 or not tokens[1].isdigit():
+            # isdigit() is also true for superscripts such as '²', which
+            # int() rejects; isdecimal() is true for what int() reads.
+            if keyword != "dim" or len(tokens) != 2 or not tokens[1].isdecimal():
                 raise SetSyntaxError("expected 'dim <positive integer>'", lineno)
-            dimension = int(tokens[1])
+            try:
+                dimension = int(tokens[1])
+            except ValueError:  # more digits than int() converts
+                raise SetSyntaxError("dimension too large", lineno) from None
             if dimension < 1:
                 raise SetSyntaxError("dimension must be positive", lineno)
             continue

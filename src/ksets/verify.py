@@ -9,7 +9,8 @@ unit propagation, so absence of a witness is a proof of uncolorability.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import NotKSError
@@ -51,14 +52,32 @@ class Assignment:
 
 
 @dataclass
+class SearchStats:
+    """What one or more searches did.
+
+    nodes: search states reached after unit propagation, the root included;
+    propagations: projectors set to 1 by unit propagation;
+    conflicts: propagations that ended in a contradiction;
+    max_depth: most branching decisions on one path.
+    Counts add up over searches; max_depth keeps the largest.
+    """
+
+    nodes: int = 0
+    propagations: int = 0
+    conflicts: int = 0
+    max_depth: int = 0
+
+
+@dataclass
 class _Problem:
     ids: list[str]
     index: dict[str, int]
     ctx_masks: list[int]
     mode: Mode
     full_orth: list[int] | None
+    occurrences: list[list[int]]  # per projector, the contexts holding it
 
-    def orth_for(self, active: list[int]) -> list[int]:
+    def orth_for(self, active: Iterable[int]) -> list[int]:
         """At-most-one masks valid for the given active contexts.  Full-mode
         masks are geometric and context-independent; context-mode masks come
         only from co-membership in an active context."""
@@ -75,16 +94,46 @@ class _Problem:
                 orth[bit.bit_length() - 1] |= cm & ~bit
         return orth
 
+    def drop_context(
+        self, c: int, rest: int, orth: list[int], allowed: int
+    ) -> tuple[list[int], int]:
+        """At-most-one masks and allowed projectors once context c leaves.
+
+        orth and allowed belong to the active contexts, rest is their
+        bitmask without c.  Only c's members can change: each keeps what the
+        rest of its contexts give it, and is no longer allowed when none is
+        left.  Full-mode masks never change."""
+        ctx_masks = self.ctx_masks
+        by_context = self.mode is Mode.CONTEXT_ONLY
+        if by_context:
+            orth = orth.copy()
+        members = ctx_masks[c]
+        while members:
+            bit = members & -members
+            members ^= bit
+            v = bit.bit_length() - 1
+            row = 0
+            for ci in self.occurrences[v]:
+                if rest >> ci & 1:
+                    row |= ctx_masks[ci]
+            if not row:
+                allowed &= ~bit
+            if by_context:
+                orth[v] = row & ~bit
+        return orth, allowed
+
 
 def _compile(s: KSSet, mode: Mode) -> _Problem:
     ensure_valid(s)
     ids = list(s.projectors)
     index = {pid: i for i, pid in enumerate(ids)}
     ctx_masks = []
-    for ctx in s.contexts:
+    occurrences: list[list[int]] = [[] for _ in ids]
+    for ci, ctx in enumerate(s.contexts):
         m = 0
         for pid in ctx:
             m |= 1 << index[pid]
+            occurrences[index[pid]].append(ci)
         ctx_masks.append(m)
     full_orth = None
     if mode is Mode.FULL:
@@ -95,74 +144,115 @@ def _compile(s: KSSet, mode: Mode) -> _Problem:
             for q in nbrs:
                 m |= 1 << index[q]
             full_orth[index[pid]] = m
-    return _Problem(ids, index, ctx_masks, mode, full_orth)
+    return _Problem(ids, index, ctx_masks, mode, full_orth, occurrences)
 
 
-def _solve(problem: _Problem, active: list[int], allowed: int) -> int | None:
+def _solve(
+    masks: list[int],
+    orth: list[int],
+    allowed: int,
+    stats: SearchStats | None = None,
+) -> int | None:
     """Return a bitmask of projectors valued 1, or None when uncolorable.
 
-    Branches on the unsatisfied context with the fewest undecided members
-    (ties to the lowest context index); members are tried in ascending
-    projector index, so results are deterministic.
+    masks are the member masks of the active contexts, orth[v] the
+    projectors that a 1 at v forces to 0, and projectors outside allowed
+    start at 0.  Branches on the unsatisfied context with the fewest
+    undecided members (ties to the first in masks); members are tried in
+    ascending projector index, so results are deterministic.  The counts
+    of the search are added to stats when it is given.
     """
-    ctx_masks = problem.ctx_masks
-    orth = problem.orth_for(active)
+    nodes = propagations = conflicts = max_depth = 0
 
-    def propagate(ones: int, zeros: int, pending: list[int]):
+    def propagate(ones: int, zeros: int, new: int, open_masks):
+        """Unit propagation to its fixpoint, or None on a conflict.
+
+        new holds the projectors just set to 1 whose exclusions are not yet
+        applied.  The fixpoint does not depend on the order units are found
+        in.  The last pass finds no unit; it also collects the masks still
+        unsatisfied and picks the branch, returned as its undecided mask
+        (0 when every context is satisfied)."""
+        nonlocal propagations
         while True:
-            while pending:
-                v = pending.pop()
-                block = orth[v]
-                if block & ones:
-                    return None
-                zeros |= block
+            while new:
+                bit = new & -new
+                new ^= bit
+                zeros |= orth[bit.bit_length() - 1]
             if ones & zeros:
                 return None
-            for ci in active:
-                m = ctx_masks[ci]
+            free = ~zeros
+            still = []
+            branch = 0
+            fewest = 1 << 62
+            for m in open_masks:
                 if m & ones:
                     continue
-                und = m & ~zeros
-                if und == 0:
-                    return None
-                if und & (und - 1) == 0:
+                und = m & free
+                if und & (und - 1):
+                    if not new:
+                        still.append(m)
+                        count = und.bit_count()
+                        if count < fewest:
+                            fewest = count
+                            branch = und
+                elif und:
                     ones |= und
-                    pending.append(und.bit_length() - 1)
-            if not pending:
-                return ones, zeros
+                    new |= und
+                    propagations += 1
+                else:
+                    return None
+            if not new:
+                return ones, zeros, still, branch
 
-    def search(ones: int, zeros: int) -> int | None:
-        best_und = 0
-        best_count = 1 << 62
-        for ci in active:
-            m = ctx_masks[ci]
-            if m & ones:
-                continue
-            und = m & ~zeros
-            count = und.bit_count()
-            if count == 0:
-                return None
-            if count < best_count:
-                best_count = count
-                best_und = und
-        if not best_und:
+    def search(ones: int, zeros: int, open_masks, branch: int, depth: int):
+        nonlocal nodes, conflicts, max_depth
+        nodes += 1
+        if depth > max_depth:
+            max_depth = depth
+        if not branch:
             return ones
-        rest = best_und
+        depth += 1
+        rest = branch
         while rest:
             bit = rest & -rest
             rest ^= bit
-            v = bit.bit_length() - 1
-            state = propagate(ones | bit, zeros, [v])
-            if state is not None:
-                result = search(*state)
-                if result is not None:
-                    return result
+            state = propagate(ones | bit, zeros, bit, open_masks)
+            if state is None:
+                conflicts += 1
+                continue
+            result = search(*state, depth)
+            if result is not None:
+                return result
         return None
 
-    state = propagate(0, ~allowed, [])
+    state = propagate(0, ~allowed, 0, masks)
     if state is None:
-        return None
-    return search(*state)
+        conflicts += 1
+        result = None
+    else:
+        result = search(*state, 0)
+    if stats is not None:
+        stats.nodes += nodes
+        stats.propagations += propagations
+        stats.conflicts += conflicts
+        stats.max_depth = max(stats.max_depth, max_depth)
+    return result
+
+
+def _compile_uncolorable(
+    s: KSSet, mode: Mode, stats: SearchStats | None, why: str
+) -> tuple[_Problem, list[int], int]:
+    """Compile s and prove it uncolorable, else raise NotKSError(why).
+    Returns the problem with the at-most-one masks and the allowed
+    projectors of all its contexts, the start of every removal."""
+    problem = _compile(s, mode)
+    orth = problem.orth_for(range(len(problem.ctx_masks)))
+    allowed = 0
+    for m in problem.ctx_masks:
+        allowed |= m
+    if _solve(problem.ctx_masks, orth, allowed, stats) is not None:
+        raise NotKSError(f"set is colorable; {why}")
+    return problem, orth, allowed
 
 
 def _check(s: KSSet, asg: Assignment, mode: Mode) -> bool:
@@ -189,11 +279,14 @@ def _check(s: KSSet, asg: Assignment, mode: Mode) -> bool:
     return True
 
 
-def find_assignment(s: KSSet, mode: Mode = Mode.FULL) -> Assignment | None:
-    """A valid 0/1 assignment for the given mode, or None when none exists."""
+def find_assignment(
+    s: KSSet, mode: Mode = Mode.FULL, stats: SearchStats | None = None
+) -> Assignment | None:
+    """A valid 0/1 assignment for the given mode, or None when none exists.
+    The counts of the search are added to stats when it is given."""
     problem = _compile(s, mode)
-    mask = _solve(problem, list(range(len(problem.ctx_masks))),
-                  (1 << len(problem.ids)) - 1)
+    orth = problem.orth_for(range(len(problem.ctx_masks)))
+    mask = _solve(problem.ctx_masks, orth, (1 << len(problem.ids)) - 1, stats)
     if mask is None:
         return None
     values = {pid: 1 if mask >> i & 1 else 0 for i, pid in enumerate(problem.ids)}
@@ -218,10 +311,12 @@ def is_parity(s: KSSet) -> bool:
 
 @dataclass
 class CriticalityReport:
-    """Per-context removal outcomes: a witness assignment or None."""
+    """Per-context removal outcomes: a witness assignment or None, and the
+    search counts of the whole check."""
 
     mode: Mode
     removals: list[Assignment | None]
+    stats: SearchStats = field(default_factory=SearchStats)
 
     @property
     def overall(self) -> bool:
@@ -235,28 +330,28 @@ class CriticalityReport:
 def is_critical(s: KSSet, mode: Mode = Mode.FULL) -> CriticalityReport:
     """Remove each context in turn, restrict to the projectors still used,
     and search for a witness; overall-critical iff every removal has one."""
-    ensure_valid(s)
-    if find_assignment(s, mode) is not None:
-        raise NotKSError("set is colorable; criticality undefined")
-    problem = _compile(s, mode)
-    n_ctx = len(problem.ctx_masks)
+    stats = SearchStats()
+    problem, orth, allowed = _compile_uncolorable(
+        s, mode, stats, "criticality undefined")
+    ctx_masks = problem.ctx_masks
+    every = (1 << len(ctx_masks)) - 1
     removals: list[Assignment | None] = []
-    for removed in range(n_ctx):
-        active = [ci for ci in range(n_ctx) if ci != removed]
-        allowed = 0
-        for ci in active:
-            allowed |= problem.ctx_masks[ci]
-        mask = _solve(problem, active, allowed)
+    for removed in range(len(ctx_masks)):
+        rest = every & ~(1 << removed)
+        trial_orth, trial_allowed = problem.drop_context(
+            removed, rest, orth, allowed)
+        masks = [m for ci, m in enumerate(ctx_masks) if ci != removed]
+        mask = _solve(masks, trial_orth, trial_allowed, stats)
         if mask is None:
             removals.append(None)
             continue
         values = {
             problem.ids[i]: 1 if mask >> i & 1 else 0
             for i in range(len(problem.ids))
-            if allowed >> i & 1
+            if trial_allowed >> i & 1
         }
         removals.append(Assignment(values))
-    return CriticalityReport(mode, removals)
+    return CriticalityReport(mode, removals, stats)
 
 
 def export_cnf(s: KSSet, mode: Mode = Mode.FULL) -> str:

@@ -80,6 +80,14 @@ def test_verify_non_utf8_file(capsys, tmp_path):
     assert "UTF-8" in err
 
 
+def test_verify_superscript_dimension(capsys, tmp_path):
+    path = tmp_path / "sup.ks"
+    path.write_text("dim ²\nray a 1 0\nray b 0 1\nctx a b\n", encoding="utf-8")
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 3
+    assert "line 1" in err
+
+
 def test_python_m_ksets():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)

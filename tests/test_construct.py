@@ -3,9 +3,12 @@ padded and swapped extensions, greedy reduction, and the dimension table."""
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 
-from conftest import basis_set
+from conftest import basis_set, census_set
 from ksets import catalog
 from ksets.cyclo import CycNum, ONE, ZERO
 from ksets.errors import (
@@ -34,7 +37,14 @@ from ksets.construct import (
     split_ranks,
     table_recipe,
 )
-from ksets.verify import Mode, find_assignment, is_critical, is_ks, is_parity
+from ksets.verify import (
+    Mode,
+    SearchStats,
+    find_assignment,
+    is_critical,
+    is_ks,
+    is_parity,
+)
 
 
 # -- embedding ------------------------------------------------------
@@ -396,6 +406,51 @@ def test_reduce_critical_idempotent(s18, mode):
     once = reduce_critical(ceg(s18, 5), mode)
     twice = reduce_critical(once, mode)
     assert twice.contexts == once.contexts
+
+
+def test_census_cores_are_pinned():
+    # Context-mode cores of the d=4 master set from 200 seeded base orders.
+    # The digest was taken from the solver that rescanned every context per
+    # node and rebuilt the context-mode masks per trial removal.
+    rng = random.Random(0)
+    n = census_set().n_contexts
+    cores = []
+    for _ in range(200):
+        order = list(range(n))
+        rng.shuffle(order)
+        core = reduce_critical(census_set(order), Mode.CONTEXT_ONLY)
+        cores.append(" ".join(",".join(ctx) for ctx in core.contexts))
+    digest = hashlib.sha256("\n".join(cores).encode()).hexdigest()
+    assert digest == (
+        "1442e2551a09e27711a4b6cc6300aa8767c67b1791def3827a9368757eb4415a")
+
+
+# (kept contexts, (nodes, propagations, conflicts, max depth)), counted with
+# the solver that preceded fused branch selection and incremental masks.
+REDUCE_COUNTS = {
+    ("d4-18-9", Mode.FULL): (9, (53, 75, 31, 3)),
+    ("d4-18-9", Mode.CONTEXT_ONLY): (9, (58, 32, 22, 5)),
+    ("d6-21-7", Mode.FULL): (7, (73, 0, 78, 3)),
+    ("d6-21-7", Mode.CONTEXT_ONLY): (7, (65, 6, 48, 5)),
+    ("ceg", Mode.FULL): (16, (196, 471, 172, 4)),
+    ("ceg", Mode.CONTEXT_ONLY): (18, (306, 311, 264, 5)),
+    ("census", Mode.FULL): (12, (375, 2383, 404, 5)),
+    ("census", Mode.CONTEXT_ONLY): (11, (393, 983, 387, 7)),
+}
+
+
+@pytest.mark.parametrize(("name", "mode"), list(REDUCE_COUNTS))
+def test_reduce_critical_search_counts_are_pinned(name, mode):
+    if name == "ceg":
+        s = ceg(catalog.seed_set("d4-18-9"), 5)
+    elif name == "census":
+        s = census_set()
+    else:
+        s = catalog.seed_set(name)
+    stats = SearchStats()
+    out = reduce_critical(s, mode, stats=stats)
+    counts = (stats.nodes, stats.propagations, stats.conflicts, stats.max_depth)
+    assert (out.n_contexts, counts) == REDUCE_COUNTS[name, mode]
 
 
 def test_reduce_basic_sum(s18, s21):

@@ -214,6 +214,13 @@ def test_parse_scalar_rejects(bad):
         parse_scalar(bad)
 
 
+def test_parse_scalar_rejects_numbers_int_cannot_read():
+    # int() refuses strings of more than 4300 digits with a ValueError
+    for bad in ("1" * 5000, "z^" + "1" * 5000, "1/" + "2" * 5000):
+        with pytest.raises(ScalarSyntaxError, match="number too long"):
+            parse_scalar(bad)
+
+
 def test_render_uses_minimal_forms():
     assert render_scalar(CycNum.from_rational(Fraction(1, 2))) == "1/2"
     assert render_scalar(-zeta(4)) == "-z^4"

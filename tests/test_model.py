@@ -49,6 +49,20 @@ def test_inner_dimension_mismatch():
         inner(make_ray(1, 0), make_ray(1, 0, 0))
 
 
+def test_pairwise_checks_dimension_mismatch():
+    # disjoint supports: without the check each would answer, not raise
+    u, v = make_ray(1, 0), make_ray(0, 0, 1)
+    with pytest.raises(DimensionMismatch, match="dimensions 2 != 3"):
+        ray_equal(u, v)
+    for check in (projector_orthogonal, projector_equal):
+        with pytest.raises(DimensionMismatch, match="dimensions 2 != 3"):
+            check(Projector((u,)), Projector((v,)))
+    plane2 = Projector((u, make_ray(0, 1)))
+    plane4 = Projector((make_ray(0, 0, 1, 0), make_ray(0, 0, 0, 1)))
+    with pytest.raises(DimensionMismatch, match="dimensions 2 != 4"):
+        projector_equal(plane2, plane4)
+
+
 def test_inner_conjugate_symmetry(s21):
     u = s21.projectors["3"].span[0]
     v = s21.projectors["5"].span[0]

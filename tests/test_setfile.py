@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksets import catalog
 from ksets.errors import (
+    KSError,
     SetSyntaxError,
     UnknownReferenceError,
     ValidationError,
@@ -72,6 +75,16 @@ def test_parse_rejects_bad_dim_line():
         parse("ray a 1 0\n")
 
 
+@pytest.mark.parametrize(("digits", "message"), [
+    ("\u00b2", "positive integer"),  # '²'.isdigit() is true, int('²') fails
+    ("1" * 5000, "too large"),  # int() refuses more than 4300 digits
+])
+def test_parse_rejects_dim_int_cannot_read(digits, message):
+    with pytest.raises(SetSyntaxError, match=message) as err:
+        parse(f"dim {digits}\n")
+    assert err.value.line == 1
+
+
 def test_parse_rejects_wrong_entry_count():
     with pytest.raises(SetSyntaxError) as err:
         parse("dim 3\nray a 1 0\n")
@@ -116,3 +129,88 @@ def test_serialize_renders_minimal_scalars():
     text21 = serialize(s21)
     assert "-z^4" in text21  # the conjugate cube root renders as a monomial
     assert "w3" in text21
+
+
+# -- fuzzing: every text parses or raises KSError -----------------------
+
+_TEXTS = [serialize(catalog.seed_set(name))
+          for name in ("d4-18-9", "d6-21-7", "d8-30-9")]
+
+
+# Characters on which str.isdecimal, isdigit and isnumeric disagree, such
+# as '²' or '½': where a parser's str checks and int() can part ways.
+_NUMERIC_EDGE = [c for c in map(chr, range(0x3000))
+                 if c.isnumeric() and not c.isdecimal()]
+_TOKENS = st.text(
+    st.sampled_from(_NUMERIC_EDGE)
+    | st.sampled_from(list("0123456789/+-^z"))
+    | st.characters(categories=("Nd", "Pd", "Po", "Sm")),
+    min_size=1,
+    max_size=4,
+)
+_SMALL = "dim 2\nray a 1 0\nray b 0 1\nproj p a b\nctx p\n"
+
+
+def _parses_or_rejects(text: str) -> None:
+    try:
+        parse(text)
+    except KSError:
+        pass
+
+
+@given(st.text())
+@settings(max_examples=300, deadline=None)
+def test_fuzz_arbitrary_text(text):
+    _parses_or_rejects(text)
+
+
+@given(st.lists(st.sampled_from(["dim", "ray", "proj", "ctx", "#", "\n"])
+                | _TOKENS, max_size=30)
+       .map(" ".join))
+@settings(max_examples=300, deadline=None)
+def test_fuzz_keyword_soup(text):
+    _parses_or_rejects(text)
+
+
+@given(st.data(), _TOKENS)
+@settings(max_examples=300, deadline=None)
+def test_fuzz_one_token_of_each_line_kind(data, token):
+    lines = [line.split() for line in _SMALL.splitlines()]
+    i = data.draw(st.integers(0, len(lines) - 1))
+    lines[i][data.draw(st.integers(0, len(lines[i]) - 1))] = token
+    _parses_or_rejects("\n".join(" ".join(line) for line in lines))
+
+
+@st.composite
+def mutated_set_texts(draw) -> str:
+    """A serialized catalog set with a few lines changed: a token replaced,
+    inserted or deleted, or a line dropped, duplicated or swapped."""
+    lines = draw(st.sampled_from(_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["replace", "insert", "delete",
+                                     "drop", "dup", "swap"]))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "dup":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            tokens = lines[i].split(" ")
+            k = draw(st.integers(0, len(tokens) - 1))
+            if kind == "replace":
+                tokens[k] = draw(_TOKENS)
+            elif kind == "insert":
+                tokens.insert(k, draw(_TOKENS))
+            else:
+                del tokens[k]
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@given(mutated_set_texts())
+@settings(max_examples=300, deadline=None)
+def test_fuzz_mutated_catalog_text(text):
+    _parses_or_rejects(text)

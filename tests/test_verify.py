@@ -3,13 +3,24 @@ against exhaustive enumeration, parity, criticality and the CNF export."""
 
 from __future__ import annotations
 
-import pytest
+import hashlib
+import random
 
-from conftest import basis_set, make_ray
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import basis_set, census_set, make_ray
+from ksets import catalog
 from ksets.errors import NotKSError
 from ksets.model import KSSet, Projector
 from ksets.verify import (
+    Assignment,
     Mode,
+    SearchStats,
+    _check,
+    _compile,
+    _solve,
     export_cnf,
     find_assignment,
     is_critical,
@@ -151,6 +162,141 @@ def test_agrees_with_brute_force_on_removals(s18):
         ours = find_assignment(drop_context(s18, removed), Mode.FULL)
         brute = brute_force_witness(s18, Mode.FULL, removed=removed)
         assert ours is not None and brute is not None
+
+
+# -- search kernel ----------------------------------------------------
+
+
+def _union(masks) -> int:
+    out = 0
+    for m in masks:
+        out |= m
+    return out
+
+
+@st.composite
+def census_subsets(draw) -> KSSet:
+    """One to five bases of the d=4 master set in a drawn order, over at
+    most 14 rays so that the oracle's 2^R enumeration stays small."""
+    order = draw(st.permutations(range(census_set().n_contexts)))
+    limit = draw(st.integers(min_value=1, max_value=5))
+    picked: list[int] = []
+    rays: set[str] = set()
+    for c in order:
+        members = set(census_set([c]).projectors)
+        if len(rays | members) <= 14:
+            picked.append(c)
+            rays |= members
+            if len(picked) == limit:
+                break
+    return census_set(picked)
+
+
+@given(census_subsets(), st.sampled_from(list(Mode)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_search_agrees_with_brute_force_on_census_subsets(s, mode, data):
+    removed = data.draw(st.none() | st.integers(0, s.n_contexts - 1))
+    problem = _compile(s, mode)
+    masks = problem.ctx_masks
+    orth = problem.orth_for(range(len(masks)))
+    allowed = _union(masks)
+    sub = s
+    if removed is not None:
+        rest = _union(1 << ci for ci in range(len(masks)) if ci != removed)
+        orth, allowed = problem.drop_context(removed, rest, orth, allowed)
+        masks = [m for ci, m in enumerate(masks) if ci != removed]
+        sub = drop_context(s, removed)
+    mask = _solve(masks, orth, allowed)
+    brute = brute_force_witness(s, mode, removed=removed)
+    assert (mask is None) == (brute is None)
+    assert (find_assignment(sub, mode) is None) == (brute is None)
+    if mask is not None:
+        values = {pid: mask >> problem.index[pid] & 1 for pid in sub.projectors}
+        assert _check(sub, Assignment(values), mode)
+
+
+@pytest.mark.parametrize("name", ["d4-18-9", "d6-21-7", "d3-57-40", "census"])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_drop_context_matches_rebuilt_masks(name, mode):
+    s = census_set() if name == "census" else catalog.seed_set(name)
+    problem = _compile(s, mode)
+    n = len(problem.ctx_masks)
+
+    def expect(active):
+        return problem.orth_for(sorted(active)), _union(
+            problem.ctx_masks[ci] for ci in active)
+
+    def bits(active):
+        return _union(1 << ci for ci in active)
+
+    every = set(range(n))
+    orth, allowed = expect(every)
+    for c in range(n):
+        got = problem.drop_context(c, bits(every - {c}), orth, allowed)
+        assert got == expect(every - {c})
+    # dropping along a chain, as reduce_critical does
+    order = list(range(n))
+    random.Random(n).shuffle(order)
+    active = set(every)
+    for c in order[:-1]:
+        active.discard(c)
+        orth, allowed = problem.drop_context(c, bits(active), orth, allowed)
+        assert (orth, allowed) == expect(active)
+
+
+def test_criticality_removals_are_pinned():
+    # Every removal witness of every catalog entry and seed, in both modes.
+    # The digest was taken from the solver that rescanned every context per
+    # node and rebuilt the context-mode masks per removal; an equal digest
+    # shows that the search still branches the same way.
+    lines = []
+    for name in catalog.NAMES + catalog.SEED_NAMES:
+        s = catalog.seed_set(name)
+        for mode in Mode:
+            try:
+                report = is_critical(s, mode)
+            except NotKSError as exc:
+                body = type(exc).__name__
+            else:
+                body = ";".join(
+                    "-" if w is None else w.lines().replace("\n", ",")
+                    for w in report.removals)
+            lines.append(f"{name} {mode.value} {body}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == (
+        "551d6dd6fd612734e79bb6b04ac36c290bb38fa921f645dbe1fe2219cb8dd477")
+
+
+# (nodes, propagations, conflicts, max depth), counted with the solver
+# that preceded fused branch selection: the same counts mean the same tree.
+SEARCH_COUNTS = {
+    ("d4-18-9", Mode.FULL): (13, 32, 16, 2),
+    ("d4-18-9", Mode.CONTEXT_ONLY): (19, 20, 22, 3),
+    ("d6-21-7", Mode.FULL): (31, 0, 48, 2),
+    ("d6-21-7", Mode.CONTEXT_ONLY): (31, 0, 48, 2),
+}
+CRITICAL_COUNTS = {
+    ("d4-18-9", Mode.FULL): (53, 75, 31, 3),
+    ("d4-18-9", Mode.CONTEXT_ONLY): (58, 32, 22, 5),
+    ("d6-21-7", Mode.FULL): (73, 0, 78, 3),
+    ("d6-21-7", Mode.CONTEXT_ONLY): (65, 6, 48, 5),
+}
+
+
+def _counts(stats: SearchStats) -> tuple[int, int, int, int]:
+    return (stats.nodes, stats.propagations, stats.conflicts, stats.max_depth)
+
+
+@pytest.mark.parametrize(("name", "mode"), list(SEARCH_COUNTS))
+def test_search_counts_are_pinned(name, mode):
+    s = catalog.seed_set(name)
+    stats = SearchStats()
+    assert find_assignment(s, mode, stats=stats) is None
+    assert _counts(stats) == SEARCH_COUNTS[name, mode]
+    find_assignment(s, mode, stats=stats)  # counts add up
+    nodes, props, conflicts, depth = SEARCH_COUNTS[name, mode]
+    assert _counts(stats) == (2 * nodes, 2 * props, 2 * conflicts, depth)
+    assert _counts(is_critical(s, mode).stats) == CRITICAL_COUNTS[name, mode]
 
 
 def test_cnf_shape_18_9(s18):
