@@ -5,23 +5,31 @@ rank-scaling of a whole set into block copies, the padded doubling with
 three pad projectors, coordinate-swap doubling with duplicate elimination,
 greedy reduction to a critical core, and the dimension-table recipes that
 chain them.
+
+Each table row writes its constructions down once, as a chain string such
+as ``split_ranks(rank_scale(d6-21-7, 2))``; build_chain runs any such string
+and is the only way the table builds a set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+import re
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 
+from . import catalog
 from .cyclo import CycNum, ONE, ZERO
 from .errors import (
     BadBasisError,
     BadDimensionError,
+    ChainSyntaxError,
     InvalidPairingError,
     NotKSError,
     NotParityError,
     NotScaledUnitaryError,
 )
 from .model import (
+    Context,
     KSSet,
     Projector,
     Ray,
@@ -101,24 +109,33 @@ class _Registry:
         return pid
 
 
-def _combined_projectors(
-    s1: KSSet, s2: KSSet, flip: bool
-) -> tuple[dict[str, Projector], dict[str, str], dict[str, str]]:
-    """Direct-sum projector table: s1 occupies the leading block and s2 the
-    trailing block (swapped when flip is set)."""
+def _direct_sum(
+    s1: KSSet,
+    s2: KSSet,
+    pairs: list[tuple[Context, Context]],
+    flip: bool,
+) -> KSSet:
+    """Direct sum whose contexts join c1 of s1 with c2 of s2 for each
+    (c1, c2) in pairs: s1 occupies the leading block and s2 the trailing
+    block (swapped when flip is set)."""
     d1, d2 = s1.dimension, s2.dimension
     if flip:
         pre1, post1, pre2, post2 = d2, 0, 0, d1
     else:
         pre1, post1, pre2, post2 = 0, d2, d1, 0
     projs: dict[str, Projector] = {}
-    map1 = {pid: f"a{pid}" for pid in s1.projectors}
-    map2 = {pid: f"b{pid}" for pid in s2.projectors}
     for pid, p in s1.projectors.items():
-        projs[map1[pid]] = _pad_projector(p, pre1, post1)
+        projs[f"a{pid}"] = _pad_projector(p, pre1, post1)
     for pid, p in s2.projectors.items():
-        projs[map2[pid]] = _pad_projector(p, pre2, post2)
-    return projs, map1, map2
+        projs[f"b{pid}"] = _pad_projector(p, pre2, post2)
+    contexts = [
+        tuple(f"a{pid}" for pid in c1) + tuple(f"b{pid}" for pid in c2)
+        for c1, c2 in pairs
+    ]
+    out = KSSet(d1 + d2, projs, contexts,
+                name=f"{s1.name or 'A'}(+){s2.name or 'B'}")
+    ensure_valid(out)
+    return out
 
 
 def pz_basic(s1: KSSet, s2: KSSet, flip: bool = False) -> KSSet:
@@ -126,17 +143,8 @@ def pz_basic(s1: KSSet, s2: KSSet, flip: bool = False) -> KSSet:
     over R1+R2 projectors in dimension d1+d2."""
     ensure_valid(s1)
     ensure_valid(s2)
-    projs, map1, map2 = _combined_projectors(s1, s2, flip)
-    contexts = []
-    for c1 in s1.contexts:
-        for c2 in s2.contexts:
-            contexts.append(
-                tuple(map1[pid] for pid in c1) + tuple(map2[pid] for pid in c2)
-            )
-    out = KSSet(s1.dimension + s2.dimension, projs, contexts,
-                name=f"{s1.name or 'A'}(+){s2.name or 'B'}")
-    ensure_valid(out)
-    return out
+    pairs = [(c1, c2) for c1 in s1.contexts for c2 in s2.contexts]
+    return _direct_sum(s1, s2, pairs, flip)
 
 
 @dataclass(frozen=True)
@@ -175,6 +183,16 @@ def _check_pairing(p: Pairing, b_large: int, b_small: int) -> None:
             )
 
 
+def _parity_pair(s1: KSSet, s2: KSSet) -> tuple[KSSet, KSSet]:
+    """The set with more contexts (s1 on ties) and the other one, after
+    checking that both are valid parity sets."""
+    ensure_valid(s1)
+    ensure_valid(s2)
+    if not is_parity(s1) or not is_parity(s2):
+        raise NotParityError("both inputs must be parity sets")
+    return (s1, s2) if s1.n_contexts >= s2.n_contexts else (s2, s1)
+
+
 def pz_improved(
     s1: KSSet,
     s2: KSSet,
@@ -183,70 +201,61 @@ def pz_improved(
 ) -> KSSet:
     """Direct sum of two parity sets with paired contexts: only
     max(B1, B2) contexts survive and the result is again a parity set."""
-    ensure_valid(s1)
-    ensure_valid(s2)
-    if not is_parity(s1) or not is_parity(s2):
-        raise NotParityError("both inputs must be parity sets")
-    b1, b2 = s1.n_contexts, s2.n_contexts
-    large_is_s1 = b1 >= b2
-    b_large, b_small = (b1, b2) if large_is_s1 else (b2, b1)
+    large, small = _parity_pair(s1, s2)
+    b_large, b_small = large.n_contexts, small.n_contexts
     if pairing is None:
         pairing = default_pairing(b_large, b_small)
     _check_pairing(pairing, b_large, b_small)
-    projs, map1, map2 = _combined_projectors(s1, s2, flip)
-    contexts = []
-    for k in range(b_large):
-        if large_is_s1:
-            c1 = s1.contexts[k]
-            c2 = s2.contexts[pairing.assignment[k]]
-        else:
-            c1 = s1.contexts[pairing.assignment[k]]
-            c2 = s2.contexts[k]
-        contexts.append(
-            tuple(map1[pid] for pid in c1) + tuple(map2[pid] for pid in c2)
-        )
-    out = KSSet(s1.dimension + s2.dimension, projs, contexts,
-                name=f"{s1.name or 'A'}(+){s2.name or 'B'}")
-    ensure_valid(out)
-    return out
+    pairs = [(large.contexts[k], small.contexts[j])
+             for k, j in enumerate(pairing.assignment)]
+    if large is not s1:
+        pairs = [(c1, c2) for c2, c1 in pairs]
+    return _direct_sum(s1, s2, pairs, flip)
 
 
-def _context_sets(s: KSSet) -> dict[str, frozenset[int]]:
-    out: dict[str, frozenset[int]] = {pid: frozenset() for pid in s.projectors}
+def _signatures(s: KSSet) -> dict[str, int]:
+    """Bitmask of the contexts each projector occurs in (bit ci for context
+    ci), for every projector that occurs in some context."""
+    sig = dict.fromkeys(s.projectors, 0)
     for ci, ctx in enumerate(s.contexts):
         for pid in ctx:
-            out[pid] = out[pid] | {ci}
-    return out
+            sig[pid] |= 1 << ci
+    return {pid: mask for pid, mask in sig.items() if mask}
 
 
-def _groupby_count(items) -> dict:
-    counts: dict = {}
-    for item in items:
-        counts[item] = counts.get(item, 0) + 1
-    return counts
+def _merge_score(large: KSSet, small: KSSet) -> Callable[[Sequence[int]], int]:
+    """Score of a pairing's assignment: the number of projectors merge_rank
+    removes from pz_improved(large, small, pairing), from context membership
+    alone.  A small projector then occurs in every large context paired
+    with one of its own, and one projector survives per distinct signature."""
+    large_sigs, small_sigs = _signatures(large), _signatures(small)
+    total = len(large_sigs) + len(small_sigs)
+    large_groups = set(large_sigs.values())
+    small_groups = [
+        [j for j in range(small.n_contexts) if mask >> j & 1]
+        for mask in set(small_sigs.values())
+    ]
+
+    def score(assignment: Sequence[int]) -> int:
+        p_inv = [0] * small.n_contexts
+        for k, j in enumerate(assignment):
+            p_inv[j] |= 1 << k
+        groups = set(large_groups)
+        for sig in small_groups:
+            induced = 0
+            for j in sig:
+                induced |= p_inv[j]
+            groups.add(induced)
+        return total - len(groups)
+
+    return score
 
 
 def count_merges(s1: KSSet, s2: KSSet, pairing: Pairing) -> int:
     """Number of projectors eliminated by merge_rank after pz_improved with
     the given pairing, computed from context membership alone."""
-    b1, b2 = s1.n_contexts, s2.n_contexts
-    large, small = (s1, s2) if b1 >= b2 else (s2, s1)
-    large_classes: dict[frozenset[int], int] = {}
-    for sig in _context_sets(large).values():
-        large_classes[sig] = large_classes.get(sig, 0) + 1
-    small_classes: dict[frozenset[int], int] = {}
-    for sig in _context_sets(small).values():
-        small_classes[sig] = small_classes.get(sig, 0) + 1
-    n_small = small.n_contexts
-    p_inv: list[list[int]] = [[] for _ in range(n_small)]
-    for k, j in enumerate(pairing.assignment):
-        p_inv[j].append(k)
-    groups: dict[frozenset[int], int] = dict(large_classes)
-    for sig, count in small_classes.items():
-        induced = frozenset(k for j in sig for k in p_inv[j])
-        groups[induced] = groups.get(induced, 0) + count
-    total = large.n_projectors + small.n_projectors
-    return total - len(groups)
+    large, small = (s1, s2) if s1.n_contexts >= s2.n_contexts else (s2, s1)
+    return _merge_score(large, small)(pairing.assignment)
 
 
 def optimize_pairing(s1: KSSet, s2: KSSet, seed: int = 0) -> Pairing:
@@ -255,36 +264,9 @@ def optimize_pairing(s1: KSSet, s2: KSSet, seed: int = 0) -> Pairing:
 
     Exhaustive over all odd-usage pairings when the larger context count is
     at most 9; seeded greedy hill-climbing with restarts beyond that."""
-    ensure_valid(s1)
-    ensure_valid(s2)
-    if not is_parity(s1) or not is_parity(s2):
-        raise NotParityError("both inputs must be parity sets")
-    b_large = max(s1.n_contexts, s2.n_contexts)
-    b_small = min(s1.n_contexts, s2.n_contexts)
-    large, small = (s1, s2) if s1.n_contexts >= s2.n_contexts else (s2, s1)
-    large_classes: dict[int, int] = {}
-    for sig in _context_sets(large).values():
-        mask = 0
-        for ci in sig:
-            mask |= 1 << ci
-        large_classes[mask] = large_classes.get(mask, 0) + 1
-    small_classes = [
-        (tuple(sig), count)
-        for sig, count in _groupby_count(_context_sets(small).values()).items()
-    ]
-    total = large.n_projectors + small.n_projectors
-
-    def score(assignment) -> int:
-        p_inv = [0] * b_small
-        for k, j in enumerate(assignment):
-            p_inv[j] |= 1 << k
-        groups = dict(large_classes)
-        for sig, count in small_classes:
-            induced = 0
-            for j in sig:
-                induced |= p_inv[j]
-            groups[induced] = groups.get(induced, 0) + count
-        return total - len(groups)
+    large, small = _parity_pair(s1, s2)
+    b_large, b_small = large.n_contexts, small.n_contexts
+    score = _merge_score(large, small)
 
     if b_large <= 9:
         best: tuple[int, tuple[int, ...]] | None = None
@@ -355,48 +337,29 @@ def merge_rank(s: KSSet) -> KSSet:
     contexts into one projector whose rank is the sum of the group's ranks.
     Grouping by the full context signature reaches the fixpoint in one pass."""
     ensure_valid(s)
-    signature: dict[str, frozenset[int]] = {pid: frozenset() for pid in s.projectors}
-    for ci, ctx in enumerate(s.contexts):
-        for pid in ctx:
-            signature[pid] = signature[pid] | {ci}
-    groups: dict[frozenset[int], list[str]] = {}
-    for pid in s.projectors:
-        sig = signature[pid]
-        if sig:
-            groups.setdefault(sig, []).append(pid)
+    groups: dict[int, list[str]] = {}
+    for pid, sig in _signatures(s).items():
+        groups.setdefault(sig, []).append(pid)
     rename: dict[str, str] = {}
-    merged_span: dict[str, tuple[Ray, ...]] = {}
-    for sig, members in groups.items():
+    merged: dict[str, Projector] = {}
+    for members in groups.values():
         if len(members) < 2:
             continue
         new_id = "+".join(members)
         span: tuple[Ray, ...] = ()
         for pid in members:
             span += s.projectors[pid].span
-        for pid in members:
             rename[pid] = new_id
-        merged_span[new_id] = span
+        merged[new_id] = Projector(span)
     projs: dict[str, Projector] = {}
-    emitted: set[str] = set()
     for pid, proj in s.projectors.items():
         new_id = rename.get(pid, pid)
-        if new_id in emitted:
-            continue
-        emitted.add(new_id)
-        if new_id in merged_span:
-            projs[new_id] = Projector(merged_span[new_id])
-        else:
-            projs[new_id] = proj
-    contexts = []
-    for ctx in s.contexts:
-        seen: set[str] = set()
-        members = []
-        for pid in ctx:
-            new_id = rename.get(pid, pid)
-            if new_id not in seen:
-                seen.add(new_id)
-                members.append(new_id)
-        contexts.append(tuple(members))
+        if new_id not in projs:
+            projs[new_id] = merged.get(new_id, proj)
+    contexts = [
+        tuple(dict.fromkeys(rename.get(pid, pid) for pid in ctx))
+        for ctx in s.contexts
+    ]
     out = KSSet(s.dimension, projs, contexts, name=s.name)
     ensure_valid(out)
     return out
@@ -416,16 +379,10 @@ def split_ranks(s: KSSet) -> KSSet:
             for k, ray in enumerate(proj.span, start=1):
                 ids.append(registry.add(f"{pid}.{k}", Projector((ray,))))
             expansion[pid] = ids
-    contexts = []
-    for ctx in s.contexts:
-        members: list[str] = []
-        seen: set[str] = set()
-        for pid in ctx:
-            for nid in expansion[pid]:
-                if nid not in seen:
-                    seen.add(nid)
-                    members.append(nid)
-        contexts.append(tuple(members))
+    contexts = [
+        tuple(dict.fromkeys(nid for pid in ctx for nid in expansion[pid]))
+        for ctx in s.contexts
+    ]
     out = KSSet(s.dimension, registry.table, contexts, name=s.name)
     ensure_valid(out)
     return out
@@ -452,6 +409,15 @@ def rank_scale(s: KSSet, n: int) -> KSSet:
     out = KSSet(n * d, projs, [tuple(c) for c in s.contexts], name=s.name)
     ensure_valid(out)
     return out
+
+
+def _unique_contexts(contexts: list[Context]) -> list[Context]:
+    """The contexts in order, each member set kept at its first occurrence
+    only."""
+    unique: dict[frozenset[str], Context] = {}
+    for ctx in contexts:
+        unique.setdefault(frozenset(ctx), ctx)
+    return list(unique.values())
 
 
 def ceg(s: KSSet, d_target: int) -> KSSet:
@@ -491,14 +457,7 @@ def ceg(s: KSSet, d_target: int) -> KSSet:
         contexts.append(tuple(amap[pid] for pid in ctx) + (pad_right,))
     for ctx in s.contexts:
         contexts.append(tuple(bmap[pid] for pid in ctx) + (pad_left,))
-    seen: set[frozenset[str]] = set()
-    unique = []
-    for ctx in contexts:
-        key = frozenset(ctx)
-        if key not in seen:
-            seen.add(key)
-            unique.append(ctx)
-    out = KSSet(d_target, registry.table, unique,
+    out = KSSet(d_target, registry.table, _unique_contexts(contexts),
                 name=f"{s.name or 'S'}(ceg{d_target})")
     ensure_valid(out)
     return out
@@ -580,14 +539,7 @@ def matsuno(s: KSSet, d_target: int, v_ids: list[str] | None = None) -> KSSet:
         contexts.append(tuple(amap[pid] for pid in ctx) + t_of_v)
     for ctx in s.contexts:
         contexts.append(tuple(tmap[pid] for pid in ctx) + v_members)
-    seen: set[frozenset[str]] = set()
-    unique = []
-    for ctx in contexts:
-        key = frozenset(ctx)
-        if key not in seen:
-            seen.add(key)
-            unique.append(ctx)
-    out = KSSet(d_target, registry.table, unique,
+    out = KSSet(d_target, registry.table, _unique_contexts(contexts),
                 name=f"{s.name or 'S'}(swap{d_target})")
     ensure_valid(out)
     return out
@@ -647,7 +599,11 @@ def reduce_critical(
     One scan suffices: a context c is kept when active - c has a coloring,
     and that coloring, restricted to the projectors still allowed, colors
     every subset of active - c.  Later removals only shrink active, so c
-    stays necessary and a second scan would remove nothing."""
+    stays necessary and a second scan would remove nothing.
+
+    The core is not validated again: its contexts are a subset of the
+    validated input's contexts and its projectors are exactly those they
+    use, and every check of validation holds on such a subset."""
     problem, orth, allowed = _compile_uncolorable(
         s, mode, stats, "nothing to reduce")
     ctx_masks = problem.ctx_masks
@@ -663,15 +619,77 @@ def reduce_critical(
     ]
     used = {pid for ctx in contexts for pid in ctx}
     projs = {pid: p for pid, p in s.projectors.items() if pid in used}
-    out = KSSet(s.dimension, projs, contexts, name=s.name)
-    ensure_valid(out)
-    return out
+    return KSSet(s.dimension, projs, contexts, name=s.name)
+
+
+# The functions a chain may call and the kinds of their arguments.
+_CHAIN_ARGS = {
+    "rank_scale": ("set", "integer"),
+    "split_ranks": ("set",),
+    "merge_rank": ("set",),
+    "matsuno": ("set", "integer"),
+    "ceg": ("set", "integer"),
+    "pz_improved": ("set", "set"),
+}
+# A word (a function, a seed name or an integer) and whether "(" follows
+# it, or any other single character.
+_CHAIN_TOKEN = re.compile(r"\s*(?:(\w[\w-]*)\s*(\()?|(\S))", re.ASCII)
+
+
+def build_chain(chain: str) -> KSSet:
+    """Run a construction chain, such as the chains of table_recipe, and
+    return the set it builds.
+
+    A chain is a call name(chain, ...) of one of rank_scale, split_ranks,
+    merge_rank, matsuno, ceg and pz_improved, a catalog or seed name such
+    as d4-18-9-rot, or a nonnegative integer; the whole chain must give a
+    set.  Arguments are built left to right, and each call runs once its
+    arguments are built.  A malformed chain raises ChainSyntaxError and an
+    unknown name UnknownNameError."""
+    calls: list[tuple[str, list]] = [("", [])]  # open calls and their args
+    want_arg = True
+    for word, paren, punct in _CHAIN_TOKEN.findall(chain):
+        if want_arg and paren:
+            if word not in _CHAIN_ARGS:
+                raise ChainSyntaxError(f"unknown chain function {word!r}")
+            calls.append((word, []))
+        elif want_arg and word[:1].isdigit():
+            if not word.isdecimal():
+                raise ChainSyntaxError(f"{word!r} is not a nonnegative integer")
+            try:
+                calls[-1][1].append(int(word))
+            except ValueError:  # more digits than int() converts
+                raise ChainSyntaxError("number too long in chain") from None
+            want_arg = False
+        elif want_arg and word:
+            calls[-1][1].append(catalog.seed_set(word))
+            want_arg = False
+        elif not want_arg and punct == "," and len(calls) > 1:
+            want_arg = True
+        elif not want_arg and punct == ")" and len(calls) > 1:
+            name, args = calls.pop()
+            kinds = tuple("integer" if isinstance(a, int) else "set" for a in args)
+            if kinds != _CHAIN_ARGS[name]:
+                raise ChainSyntaxError(
+                    f"{name} takes ({', '.join(_CHAIN_ARGS[name])}), "
+                    f"got ({', '.join(kinds)})")
+            # Looked up when the chain runs, so that a rebound module
+            # attribute (the benchmark's tracer rebinds them) sees the call.
+            calls[-1][1].append(globals()[name](*args))
+        else:
+            raise ChainSyntaxError(
+                f"unexpected {word + paren or punct!r} in chain {chain!r}")
+    if want_arg or len(calls) > 1:
+        raise ChainSyntaxError(f"chain {chain!r} ends early")
+    if not isinstance(calls[0][1][0], KSSet):
+        raise ChainSyntaxError(f"chain {chain!r} gives no set")
+    return calls[0][1][0]
 
 
 @dataclass
 class Recipe:
-    """One dimension-table row: predicted compact symbols and executable
-    chains for the general-rank and the all-rank-1 variant."""
+    """One dimension-table row: predicted compact symbols and the chains
+    that build the general-rank and the all-rank-1 variant."""
 
     dimension: int
     row: str
@@ -680,14 +698,12 @@ class Recipe:
     critical: bool
     general_chain: str | None = None
     rank1_chain: str | None = None
-    _general_build: Callable[[], KSSet] | None = field(default=None, repr=False)
-    _rank1_build: Callable[[], KSSet] | None = field(default=None, repr=False)
 
     def build_general(self) -> KSSet | None:
-        return self._general_build() if self._general_build else None
+        return build_chain(self.general_chain) if self.general_chain else None
 
     def build_rank1(self) -> KSSet | None:
-        return self._rank1_build() if self._rank1_build else None
+        return build_chain(self.rank1_chain) if self.rank1_chain else None
 
     def sort_key(self) -> tuple[int, int]:
         keys = []
@@ -698,193 +714,70 @@ class Recipe:
         return min(keys)
 
 
-def _compact(sym: tuple[int, int]) -> str:
-    return f"{sym[0]}-{sym[1]}"
-
-
 def table_recipe(d: int) -> list[Recipe]:
     """All table rows that apply to dimension d, sorted by (context count,
     projector count).  Overlapping rows are all returned."""
     if d < 3:
         raise BadDimensionError("the table starts at dimension 3")
-    from . import catalog
-
     rows: list[Recipe] = []
 
-    def seed(name: str) -> KSSet:
-        return catalog.seed_set(name)
+    def row(label: str, general_symbol: str | None, rank1_symbol: str | None,
+            critical: bool, general_chain: str | None,
+            rank1_chain: str | None) -> None:
+        rows.append(Recipe(d, label, general_symbol, rank1_symbol, critical,
+                           general_chain, rank1_chain))
 
-    def scaled_row(label: str, seed_name: str, n: int,
-                   general: tuple[int, int], rank1: tuple[int, int],
-                   general_factor: int | None = None) -> Recipe:
-        gf = general_factor if general_factor is not None else n
-        general_chain = f"rank_scale({seed_name}, {gf})"
-        rank1_chain = f"split_ranks(rank_scale({seed_name}, {n}))"
-        return Recipe(
-            d, label, _compact(general), _compact(rank1), True,
-            general_chain, rank1_chain,
-            lambda: rank_scale(seed(seed_name), gf),
-            lambda: split_ranks(rank_scale(seed(seed_name), n)),
-        )
-
-    if d % 3 == 0:
-        n = d // 3
-        rows.append(scaled_row("3n", "d3-49-36", n, (49, 36), (49 * n, 36)))
-    if d % 4 == 0:
-        n = d // 4
-        rows.append(scaled_row("4n", "d4-18-9", n, (18, 9), (18 * n, 9)))
-    if d % 5 == 0:
-        n = d // 5
-        rows.append(scaled_row("5n", "d5-29-16", n, (29, 16), (29 * n, 16)))
-    if d % 6 == 0:
-        n = d // 6
-        rows.append(scaled_row("6n", "d6-21-7", n, (21, 7), (21 * n, 7)))
-    if d % 7 == 0:
-        n = d // 7
-        rows.append(scaled_row("7n", "d7-32-12", n, (32, 12), (32 * n, 12)))
-    if d % 8 == 0:
-        n = d // 8
-        rows.append(
-            Recipe(
-                d, "8n", "18-9", _compact((34 * n, 9)), True,
-                f"rank_scale(d4-18-9, {2 * n})",
-                f"split_ranks(rank_scale(d8-34-9, {n}))",
-                lambda n=n: rank_scale(seed("d4-18-9"), 2 * n),
-                lambda n=n: split_ranks(rank_scale(seed("d8-34-9"), n)),
-            )
-        )
-    if d % 9 == 0:
-        n = d // 9
-        rows.append(scaled_row("9n", "d9-39-13", n, (39, 13), (39 * n, 13)))
-    if d % 10 == 0:
-        n = d // 10
-        rows.append(
-            Recipe(
-                d, "10n", "30-9", _compact((39 * n, 9)), True,
-                f"rank_scale(d10-30-9, {n})",
-                f"split_ranks(rank_scale(d10-39-9, {n}))",
-                lambda n=n: rank_scale(seed("d10-30-9"), n),
-                lambda n=n: split_ranks(rank_scale(seed("d10-39-9"), n)),
-            )
-        )
-    if d % 11 == 0:
-        n = d // 11
-        rows.append(scaled_row("11n", "d11-40-12", n, (40, 12), (40 * n, 12)))
-
-    def swap_chain(m: int, target: int):
-        def build() -> KSSet:
-            parent = split_ranks(rank_scale(seed("d6-21-7-basis"), m))
-            return matsuno(parent, target)
-
-        return build
-
-    if d % 6 == 1 and d >= 13:
-        m = (d - 1) // 6
-        base = f"matsuno(split_ranks(rank_scale(d6-21-7-basis, {m})), {d})"
-        rows.append(
-            Recipe(
-                d, "6m+1", "43-12", _compact((21 * m + 11, 12)), True,
-                f"merge_rank({base})", base,
-                lambda m=m: merge_rank(swap_chain(m, d)()),
-                swap_chain(m, d),
-            )
-        )
-    if d % 6 == 3 and d >= 15:
-        m = (d - 3) // 6
-        base = f"matsuno(split_ranks(rank_scale(d6-21-7-basis, {m})), {d})"
-        rows.append(
-            Recipe(
-                d, "6m+3", "57-13", _compact((21 * m + 18, 13)), True,
-                f"merge_rank({base})", base,
-                lambda m=m: merge_rank(swap_chain(m, d)()),
-                swap_chain(m, d),
-            )
-        )
-    if d % 6 == 5 and d >= 17:
-        m = (d - 5) // 6
-        base = f"matsuno(split_ranks(rank_scale(d6-21-7-basis, {m})), {d})"
-        rows.append(
-            Recipe(
-                d, "6m+5", "61-13", _compact((21 * m + 20, 13)), True,
-                f"merge_rank({base})", base,
-                lambda m=m: merge_rank(swap_chain(m, d)()),
-                swap_chain(m, d),
-            )
-        )
+    # "kn": n = d/k block copies.  A seed named dK-R-B has R projectors and
+    # B contexts in dimension K.  The general chain scales the general seed
+    # up to d, keeping its symbol; the rank-1 chain splits n copies of the
+    # all-rank-1 seed of dimension k into nR rays.
+    for k, general, rank1 in (
+        (3, "d3-49-36", "d3-49-36"), (4, "d4-18-9", "d4-18-9"),
+        (5, "d5-29-16", "d5-29-16"), (6, "d6-21-7", "d6-21-7"),
+        (7, "d7-32-12", "d7-32-12"), (8, "d4-18-9", "d8-34-9"),
+        (9, "d9-39-13", "d9-39-13"), (10, "d10-30-9", "d10-39-9"),
+        (11, "d11-40-12", "d11-40-12"),
+    ):
+        if d % k == 0:
+            n = d // k
+            general_dim, r, b = map(int, general[1:].split("-"))
+            r1 = int(rank1.split("-")[1])
+            row(f"{k}n", f"{r}-{b}", f"{r1 * n}-{b}", True,
+                f"rank_scale({general}, {d // general_dim})",
+                f"split_ranks(rank_scale({rank1}, {n}))")
+    # "6m+r": the swap extension of m split copies of the axis-basis 21-7,
+    # and its rank merge.
+    for r, general, extra, b in ((1, "43-12", 11, 12), (3, "57-13", 18, 13),
+                                 (5, "61-13", 20, 13)):
+        m = (d - r) // 6
+        if d % 6 == r and m >= 2:
+            base = f"matsuno(split_ranks(rank_scale(d6-21-7-basis, {m})), {d})"
+            row(f"6m+{r}", general, f"{21 * m + extra}-{b}", True,
+                f"merge_rank({base})", base)
     if d % 6 == 2 and d >= 8:
         n = (d - 2) // 6
-        if n == 1:
-            chain = "d8-34-9"
-            build = lambda: seed("d8-34-9")  # noqa: E731
-        else:
-            chain = (
-                f"pz_improved(d8-34-9, split_ranks(rank_scale(d6-21-7, {n - 1})))"
-            )
-            build = lambda n=n: pz_improved(  # noqa: E731
-                seed("d8-34-9"), split_ranks(rank_scale(seed("d6-21-7"), n - 1))
-            )
-        rows.append(
-            Recipe(d, "6n+2", None, _compact((21 * n + 13, 9)), True,
-                   None, chain, None, build)
-        )
+        chain = "d8-34-9" if n == 1 else (
+            f"pz_improved(d8-34-9, split_ranks(rank_scale(d6-21-7, {n - 1})))")
+        row("6n+2", None, f"{21 * n + 13}-9", True, None, chain)
     if d % 6 == 4 and d >= 10:
         n = (d - 4) // 6
-        chain = f"pz_improved(d4-18-9, split_ranks(rank_scale(d6-21-7, {n})))"
-        rows.append(
-            Recipe(
-                d, "6n+4", None, _compact((21 * n + 18, 9)), True,
-                None, chain, None,
-                lambda n=n: pz_improved(
-                    seed("d4-18-9"), split_ranks(rank_scale(seed("d6-21-7"), n))
-                ),
-            )
-        )
+        row("6n+4", None, f"{21 * n + 18}-9", True, None,
+            f"pz_improved(d4-18-9, split_ranks(rank_scale(d6-21-7, {n})))")
     if d % 2 == 0 and d >= 10:
-        pair = None
         for n in range(1, d // 6 + 1):
-            rest = d - 6 * n
-            if rest >= 4 and rest % 4 == 0:
-                pair = (n, rest // 4)
+            l, rest = divmod(d - 6 * n, 4)
+            if l >= 1 and rest == 0:
+                row("6n+4l", "30-9", None, True,
+                    f"merge_rank(pz_improved(rank_scale(d4-18-9, {l}), "
+                    f"rank_scale(d6-21-7, {n})))", None)
                 break
-        if pair:
-            n, l = pair
-            chain = (
-                f"merge_rank(pz_improved(rank_scale(d4-18-9, {l}), "
-                f"rank_scale(d6-21-7, {n})))"
-            )
-            rows.append(
-                Recipe(
-                    d, "6n+4l", "30-9", None, True, chain, None,
-                    lambda n=n, l=l: merge_rank(
-                        pz_improved(
-                            rank_scale(seed("d4-18-9"), l),
-                            rank_scale(seed("d6-21-7"), n),
-                        )
-                    ),
-                    None,
-                )
-            )
     if d % 2 == 1 and d >= 7:
-        m = d // 12 + 1
-        chain = f"ceg(rank_scale(d6-21-7, {m}), {d})"
-        rows.append(
-            Recipe(
-                d, "2n+5", "45-15", None, False, chain, None,
-                lambda m=m: ceg(rank_scale(seed("d6-21-7"), m), d),
-                None,
-            )
-        )
+        row("2n+5", "45-15", None, False,
+            f"ceg(rank_scale(d6-21-7, {d // 12 + 1}), {d})", None)
     if d % 2 == 1 and d >= 5:
-        l = d // 8 + 1
         # The rotated seed: padding the raw 18 rays makes some of them
         # coincide, which drops the count below 39 in d = 5, 7 and 9.
-        chain = f"ceg(rank_scale(d4-18-9-rot, {l}), {d})"
-        rows.append(
-            Recipe(
-                d, "2n+3", "39-19", None, False, chain, None,
-                lambda l=l: ceg(rank_scale(seed("d4-18-9-rot"), l), d),
-                None,
-            )
-        )
+        row("2n+3", "39-19", None, False,
+            f"ceg(rank_scale(d4-18-9-rot, {d // 8 + 1}), {d})", None)
     rows.sort(key=Recipe.sort_key)
     return rows

@@ -64,3 +64,7 @@ class NotScaledUnitaryError(KSError):
 
 class UnknownNameError(KSError):
     """No catalog entry under the requested name."""
+
+
+class ChainSyntaxError(KSError):
+    """A construction chain does not conform to the chain grammar."""

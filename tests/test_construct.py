@@ -9,20 +9,23 @@ import random
 import pytest
 
 from conftest import basis_set, census_set
-from ksets import catalog
+from ksets import catalog, construct
 from ksets.cyclo import CycNum, ONE, ZERO
 from ksets.errors import (
     BadBasisError,
     BadDimensionError,
+    ChainSyntaxError,
     InvalidPairingError,
     NotKSError,
     NotParityError,
     NotScaledUnitaryError,
+    UnknownNameError,
 )
-from ksets.model import inner, symbol, validate
+from ksets.model import KSSet, Projector, Ray, inner, symbol, validate
 from ksets.construct import (
     Pairing,
     apply_transform,
+    build_chain,
     ceg,
     count_merges,
     default_pairing,
@@ -206,6 +209,21 @@ def test_optimize_pairing_greedy_beyond_nine(s18, s21):
     assert count_merges(s21, big, best) >= count_merges(
         s21, big, default_pairing(63, 7)
     )
+
+
+def test_count_merges_skips_projectors_in_no_context(s18, s21):
+    # merge_rank leaves projectors that occur in no context alone, so two
+    # such rays added to the 18-ray set must not count as merged
+    projs = dict(s18.projectors)
+    for pid, entries in (("19", (1, 2, 3, 4)), ("20", (1, -2, 3, 5))):
+        projs[pid] = Projector((Ray([CycNum.from_rational(x) for x in entries]),))
+    padded = KSSet(4, projs, list(s18.contexts))
+    assert is_parity(padded)
+    pairing = default_pairing(9, 7)
+    summed = pz_improved(padded, s21, pairing)
+    removed = summed.n_projectors - merge_rank(summed).n_projectors
+    assert removed == 9
+    assert count_merges(padded, s21, pairing) == removed
 
 
 # -- rank scaling ----------------------------------------------------
@@ -451,6 +469,8 @@ def test_reduce_critical_search_counts_are_pinned(name, mode):
     out = reduce_critical(s, mode, stats=stats)
     counts = (stats.nodes, stats.propagations, stats.conflicts, stats.max_depth)
     assert (out.n_contexts, counts) == REDUCE_COUNTS[name, mode]
+    # reduce_critical does not validate its core; the core must be valid
+    assert validate(out).ok
 
 
 def test_reduce_basic_sum(s18, s21):
@@ -503,3 +523,65 @@ def test_table_rank1_six_n_scaling():
         rows = {r.row: r for r in table_recipe(d)}
         r, b = rows["6n"].rank1_symbol.split("-")
         assert int(r) * 2 == 7 * d  # R = 3.5 d exactly
+
+
+def test_build_chain_runs_table_chains(s18, s21):
+    assert build_chain(" pz_improved ( d4-18-9 ,d6-21-7 ) ") == pz_improved(s18, s21)
+    assert build_chain("d6-21-7") == s21
+    out = build_chain("merge_rank(matsuno(split_ranks(rank_scale(d6-21-7-basis, 2)), 13))")
+    assert symbol(out).compact == "43-12"
+
+
+@pytest.mark.parametrize("chain", [
+    "eval(d4-18-9)",
+    "__import__(1)",
+    "pz_basic(d4-18-9, d4-18-9)",
+    "rank_scale(d4-18-9, 2",
+    "rank_scale(d4-18-9, 2))",
+    "split_ranks(" * 5000 + "d4-18-9",
+    "rank_scale(d4-18-9, )",
+    "rank_scale(, 2)",
+    "rank_scale(d4-18-9)",
+    "split_ranks(d4-18-9, 2)",
+    "ceg(d4-18-9, d4-18-9)",
+    "merge_rank()",
+    "rank_scale(d4-18-9, 2) d6-21-7",
+    "d4-18-9 (2)",
+    "",
+    "   ",
+    "7",
+    "rank_scale(d4-18-9, 2.5)",
+    "rank_scale(d4-18-9, -1)",
+    "rank_scale(d4-18-9, 1e3)",
+    "rank_scale(d4-18-9, 2x)",
+    "rank_scale(d4-18-9, " + "1" * 5000 + ")",
+])
+def test_build_chain_rejects_malformed_chains(chain):
+    with pytest.raises(ChainSyntaxError):
+        build_chain(chain)
+
+
+@pytest.mark.parametrize("chain", ["d4-99-9", "rank_scale(d4-18-10, 2)"])
+def test_build_chain_rejects_unknown_seeds(chain):
+    with pytest.raises(UnknownNameError):
+        build_chain(chain)
+
+
+def test_build_chain_calls_through_module_attributes(monkeypatch):
+    # The benchmark's per-layer spans rebind construct and catalog module
+    # attributes; a chain must reach the rebound functions.
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(construct, "rank_scale",
+                        counting("rank_scale", construct.rank_scale))
+    monkeypatch.setattr(catalog, "seed_set", counting("seed_set", catalog.seed_set))
+    out = build_chain("split_ranks(rank_scale(d4-18-9, 2))")
+    assert calls == ["seed_set", "rank_scale"]
+    assert symbol(out).compact == "36-9"
