@@ -8,6 +8,7 @@ parity, critical) are frozen here as data and exercised by the test suite.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -137,6 +138,9 @@ def _sort_key(name: str) -> tuple[int, str]:
 NAMES = tuple(sorted(_ENTRIES, key=_sort_key))
 SEED_NAMES = tuple(sorted(_SEEDS))
 
+# One class of a detailed symbol: count^superscript_subscript.
+_CLASS = re.compile(r"(\d+)\^(\d+)_(\d+)")
+
 
 @lru_cache(maxsize=None)
 def _load(name: str) -> KSSet:
@@ -181,6 +185,22 @@ def get(name: str) -> CatalogEntry:
         critical_mode=crit_mode,
         provenance=provenance,
     )
+
+
+def listing() -> list[tuple[str, int, str]]:
+    """(name, dimension, compact symbol) of every entry in NAMES order, read
+    from the recorded detailed symbols without parsing any set: the compact
+    symbol counts the projectors of the ray classes and the contexts of the
+    context classes, whose superscript is the dimension."""
+    out = []
+    for name in NAMES:
+        rays, contexts = _ENTRIES[name][1].split(" - ")
+        ray_classes = _CLASS.findall(rays)
+        ctx_classes = _CLASS.findall(contexts)
+        n_projectors = sum(int(count) for count, _, _ in ray_classes)
+        n_contexts = sum(int(count) for count, _, _ in ctx_classes)
+        out.append((name, int(ctx_classes[0][1]), f"{n_projectors}-{n_contexts}"))
+    return out
 
 
 def entries() -> list[CatalogEntry]:

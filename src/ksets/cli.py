@@ -79,8 +79,8 @@ def _cmd_symbol(args) -> int:
 
 def _cmd_catalog(args) -> int:
     if args.action == "list":
-        for entry in catalog.entries():
-            print(f"{entry.name} d={entry.dimension} {entry.expected_compact}")
+        for name, dimension, compact in catalog.listing():
+            print(f"{name} d={dimension} {compact}")
         return 0
     if not args.name:
         print("catalog show/export requires a name", file=sys.stderr)

@@ -33,8 +33,8 @@ from .model import (
     KSSet,
     Projector,
     Ray,
+    SubspaceIndex,
     ensure_valid,
-    projector_equal,
 )
 # find_assignment stays bound here: the benchmark's tracer (perfbench/spans.py)
 # wraps it in every module that binds it, and its own tests check that.
@@ -78,35 +78,6 @@ def embed(s: KSSet, prepend: int, append: int) -> KSSet:
         [tuple(c) for c in s.contexts],
         name=s.name,
     )
-
-
-class _Registry:
-    """Projector table with projective de-duplication."""
-
-    def __init__(self) -> None:
-        self.table: dict[str, Projector] = {}
-        self._canon: dict[tuple, str] = {}
-
-    def add(self, pid: str, proj: Projector) -> str:
-        """Insert proj under pid unless an equal subspace exists; returns the
-        representative id."""
-        if proj.rank == 1:
-            key = proj.span[0].canonical()
-            found = self._canon.get(key)
-            if found is not None:
-                return found
-            self._canon[key] = pid
-            self.table[pid] = proj
-            return pid
-        for qid, q in self.table.items():
-            if (
-                q.rank == proj.rank
-                and q.support == proj.support
-                and projector_equal(q, proj)
-            ):
-                return qid
-        self.table[pid] = proj
-        return pid
 
 
 def _direct_sum(
@@ -369,7 +340,7 @@ def split_ranks(s: KSSet) -> KSSet:
     """Replace every higher-rank projector by its recorded span rays as
     individual rank-1 projectors."""
     ensure_valid(s)
-    registry = _Registry()
+    registry = SubspaceIndex()
     expansion: dict[str, list[str]] = {}
     for pid, proj in s.projectors.items():
         if proj.rank == 1:
@@ -436,7 +407,7 @@ def ceg(s: KSSet, d_target: int) -> KSSet:
             f"target dimension must satisfy {d} < d' < {2 * d}"
         )
     delta = d_target - d
-    registry = _Registry()
+    registry = SubspaceIndex()
     amap: dict[str, str] = {}
     bmap: dict[str, str] = {}
     for pid, proj in s.projectors.items():
@@ -524,7 +495,7 @@ def matsuno(s: KSSet, d_target: int, v_ids: list[str] | None = None) -> KSSet:
             entries[i], entries[j] = entries[j], entries[i]
         return Ray(entries)
 
-    registry = _Registry()
+    registry = SubspaceIndex()
     amap: dict[str, str] = {}
     for pid, proj in s.projectors.items():
         amap[pid] = registry.add(pid, _pad_projector(proj, 0, delta))

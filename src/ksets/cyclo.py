@@ -335,6 +335,14 @@ _ALIASES = {
     "s3": SQRT3,
 }
 
+# The inverses of the aliases render_scalar divides by: 1/w3 = W3,
+# 1/s2 = s2/2 and 1/s3 = s3/3.
+_ALIAS_INVERSES = (
+    ("w3", OMEGA3_BAR),
+    ("s2", CycNum(SQRT2.num, 2)),
+    ("s3", CycNum(SQRT3.num, 3)),
+)
+
 _TERM_RE = re.compile(
     r"(?P<rat>\d+(?:/\d+)?)?(?P<atom>z(?:\^(?P<exp>\d+))?|w3|W3|w6|s2|s3)?"
 )
@@ -411,8 +419,8 @@ def render_scalar(x: CycNum) -> str:
         k = nonzero[0]
         coeff = Fraction(x.num[k], x.den)
         return f"{_coeff_prefix(coeff)}z" + (f"^{k}" if k != 1 else "")
-    for name in ("w3", "s2", "s3"):
-        q = x * _ALIASES[name].inv()
+    for name, inverse in _ALIAS_INVERSES:
+        q = x * inverse
         if q.israt:
             return f"{_coeff_prefix(q.as_fraction())}{name}"
     parts = []

@@ -3,12 +3,19 @@
 Rays are stored unnormalized; every subspace decision (orthogonality,
 equality, completeness) is made with exact field arithmetic, so there is
 never a tolerance anywhere in the model.
+
+Equal subspaces are found through one hash index, SubspaceIndex, shared by
+validate and the constructions: keys are exact images of each subspace's
+orthogonal projector, and a key match is confirmed exactly.  The full
+orthogonality relation of a set is computed once, as one integer bitmask per
+projector; orthogonality_graph hands it out as a read-only mapping view.
 """
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterator, Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from math import lcm, prod
 from operator import mul
 
@@ -109,7 +116,7 @@ class KSSet:
     contexts: list[Context]
     name: str | None = None
     _validated: bool = field(default=False, repr=False)
-    _graph: dict[str, frozenset[str]] | None = field(default=None, repr=False)
+    _orth: tuple[int, ...] | None = field(default=None, repr=False)
 
     @property
     def n_projectors(self) -> int:
@@ -245,6 +252,99 @@ def projector_equal(p: Projector, q: Projector) -> bool:
     return all(_residual(u, q.span) for u in p.span)
 
 
+@cache
+def _probe(d: int) -> tuple[int, ...]:
+    """The probe vector w of subspace keys in dimension d: w_i = g^(i+1)
+    mod N for a fixed odd g.  Any w gives equal subspaces equal keys; large
+    residues make equal keys of distinct subspaces, which projector_equal
+    then tells apart, unlikely."""
+    out, w = [], 1
+    for _ in range(d):
+        w = w * 0x9E3779B97F4A7C15 % PACK_MOD
+        out.append(w)
+    return tuple(out)
+
+
+def _subspace_key(proj: Projector) -> Hashable | None:
+    """A key that equal subspaces share, or None when there is none.
+
+    Rank 1: the canonical ray, which decides equality on its own.  Rank
+    r >= 2: r and the image mod N of P w, with P = sum_k q_k q_k^dagger / n_k
+    the orthogonal projector onto the span (q_k the span rays, which must be
+    mutually orthogonal, and n_k = <q_k, q_k>) and w = _probe(d).  z -> X is
+    a ring homomorphism and the images of the n_k are units mod N, so equal
+    subspaces, having equal P, get equal keys whatever their bases.  The key
+    is None when prod n_k is not a unit mod N; every prime factor of N
+    exceeds 10^6, so only huge entries do this."""
+    span = proj.span
+    if len(span) == 1:
+        return span[0].canonical()
+    for q in span:
+        if q._vals is None:
+            q._pack()
+    # Scaling q_k by its lcm (the packed images) scales q_k q_k^dagger and
+    # n_k alike.  One inverse serves every n_k: prefix[k] = n_0 ... n_{k-1}.
+    norms = [sum(map(mul, q._conjs, q._vals)) % PACK_MOD for q in span]
+    prefix = [1]
+    for n in norms:
+        prefix.append(prefix[-1] * n % PACK_MOD)
+    try:
+        inv = pow(prefix[-1], -1, PACK_MOD)
+    except ValueError:
+        return None
+    w = _probe(len(span[0].entries))
+    image = [0] * len(w)
+    for k in range(len(span) - 1, -1, -1):
+        q = span[k]
+        # inv is 1 / prefix[k + 1] here, so inv * prefix[k] = 1 / n_k.
+        coef = sum(map(mul, q._conjs, w)) % PACK_MOD * (inv * prefix[k] % PACK_MOD)
+        inv = inv * norms[k] % PACK_MOD
+        for i in q.support:
+            image[i] += q._vals[i] * coef
+    return len(span), tuple(x % PACK_MOD for x in image)
+
+
+class SubspaceIndex:
+    """Projectors stored by id, at most one per subspace.
+
+    Each projector is looked up by its _subspace_key, so the spans must be
+    orthogonal; a match of rank 2 or more is confirmed with projector_equal.
+    A projector without a key is compared exactly with every stored
+    projector of its rank and support, and every later projector of that
+    rank and support is compared with it too."""
+
+    def __init__(self) -> None:
+        self.table: dict[str, Projector] = {}
+        self._keyed: dict[Hashable, list[str]] = {}
+        self._unkeyed: list[str] = []
+
+    def add(self, pid: str, proj: Projector) -> str:
+        """The id of a stored projector with the subspace of proj, else pid
+        after storing proj under it."""
+        key = _subspace_key(proj)
+        if key is None:
+            candidates = list(self.table)
+        else:
+            found = self._keyed.get(key)
+            if found is not None and proj.rank == 1:
+                return found[0]
+            candidates = (found or []) + self._unkeyed
+        for qid in candidates:
+            q = self.table[qid]
+            if (
+                q.rank == proj.rank
+                and q.support == proj.support
+                and projector_equal(q, proj)
+            ):
+                return qid
+        self.table[pid] = proj
+        if key is None:
+            self._unkeyed.append(pid)
+        else:
+            self._keyed.setdefault(key, []).append(pid)
+        return pid
+
+
 @dataclass
 class ValidationReport:
     """Outcome of structural validation; empty issue list means valid."""
@@ -290,27 +390,13 @@ def validate(s: KSSet) -> ValidationReport:
     if not report.ok:
         return report
 
-    # No two projectors may describe the same subspace.  Rank-1 projectors
-    # are compared through canonical representatives; higher ranks fall back
-    # to exact projection within (rank, support) buckets.
-    seen_rays: dict[tuple, str] = {}
-    buckets: dict[tuple[int, frozenset[int]], list[str]] = {}
+    # No two projectors may describe the same subspace; the spans were found
+    # orthogonal above, as the index needs.
+    index = SubspaceIndex()
     for pid, proj in s.projectors.items():
-        if proj.rank == 1:
-            key = proj.span[0].canonical()
-            if key in seen_rays:
-                report.add(f"projectors {seen_rays[key]} and {pid}: equal subspaces")
-            else:
-                seen_rays[key] = pid
-        else:
-            buckets.setdefault((proj.rank, proj.support), []).append(pid)
-    for ids in buckets.values():
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                if projector_equal(s.projectors[ids[i]], s.projectors[ids[j]]):
-                    report.add(
-                        f"projectors {ids[i]} and {ids[j]}: equal subspaces"
-                    )
+        first = index.add(pid, proj)
+        if first != pid:
+            report.add(f"projectors {first} and {pid}: equal subspaces")
 
     seen_ctx: dict[frozenset[str], int] = {}
     for ci, ctx in enumerate(s.contexts):
@@ -400,24 +486,68 @@ def symbol(s: KSSet) -> Symbol:
     return Symbol(compact, detailed, ray_classes, context_classes)
 
 
-def orthogonality_graph(s: KSSet) -> dict[str, frozenset[str]]:
-    """Adjacency of the full orthogonality relation over projector ids,
-    including pairs that never share a context."""
+class OrthogonalityGraph(Mapping):
+    """Read-only adjacency of projector ids: bit j of masks[i] is set when
+    ids[i] and ids[j] are orthogonal.  A row becomes a frozenset of ids the
+    first time it is read."""
+
+    def __init__(self, ids: tuple[str, ...], masks: tuple[int, ...]) -> None:
+        self.ids = ids
+        self.masks = masks
+        self._rows: dict[str, frozenset[str]] = {}
+        self._index: dict[str, int] | None = None
+
+    def __getitem__(self, pid: str) -> frozenset[str]:
+        row = self._rows.get(pid)
+        if row is None:
+            if self._index is None:
+                self._index = {q: i for i, q in enumerate(self.ids)}
+            rest = self.masks[self._index[pid]]
+            members = []
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                members.append(self.ids[bit.bit_length() - 1])
+            row = self._rows[pid] = frozenset(members)
+        return row
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def orthogonality_graph(s: KSSet) -> OrthogonalityGraph:
+    """The full orthogonality relation over projector ids, including pairs
+    that never share a context, computed once per set.
+
+    Projectors with disjoint supports are orthogonal; they come from one
+    mask per coordinate of the projectors covering it.  Only pairs whose
+    supports overlap are checked with projector_orthogonal."""
     ensure_valid(s)
-    if s._graph is not None:
-        return s._graph
-    ids = list(s.projectors)
-    # Neighbour lists (each pair is visited once), turned into frozensets one
-    # at a time: a dense graph on a few hundred projectors holds megabytes
-    # of hash tables, so the lists and the sets never coexist in full.
-    adj: dict[str, list[str]] = {pid: [] for pid in ids}
-    projs = [s.projectors[pid] for pid in ids]
-    for i in range(len(ids)):
-        pi = projs[i]
-        for j in range(i + 1, len(ids)):
-            pj = projs[j]
-            if not (pi.support & pj.support) or projector_orthogonal(pi, pj):
-                adj[ids[i]].append(ids[j])
-                adj[ids[j]].append(ids[i])
-    s._graph = {pid: frozenset(adj.pop(pid)) for pid in ids}
-    return s._graph
+    if s._orth is None:
+        projs = list(s.projectors.values())
+        cover = [0] * s.dimension
+        for i, p in enumerate(projs):
+            for c in p.support:
+                cover[c] |= 1 << i
+        overlaps = []
+        for p in projs:
+            m = 0
+            for c in p.support:
+                m |= cover[c]
+            overlaps.append(m)
+        every = (1 << len(projs)) - 1
+        masks = [every & ~m for m in overlaps]
+        for i, p in enumerate(projs):
+            later = overlaps[i] >> (i + 1)
+            while later:
+                bit = later & -later
+                later ^= bit
+                j = i + bit.bit_length()
+                if projector_orthogonal(p, projs[j]):
+                    masks[i] |= 1 << j
+                    masks[j] |= 1 << i
+        s._orth = tuple(masks)
+    return OrthogonalityGraph(tuple(s.projectors), s._orth)

@@ -9,7 +9,7 @@ unit propagation, so absence of a witness is a proof of uncolorability.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -74,10 +74,10 @@ class _Problem:
     index: dict[str, int]
     ctx_masks: list[int]
     mode: Mode
-    full_orth: list[int] | None
+    full_orth: tuple[int, ...] | None  # bitmasks in ids order
     occurrences: list[list[int]]  # per projector, the contexts holding it
 
-    def orth_for(self, active: Iterable[int]) -> list[int]:
+    def orth_for(self, active: Iterable[int]) -> Sequence[int]:
         """At-most-one masks valid for the given active contexts.  Full-mode
         masks are geometric and context-independent; context-mode masks come
         only from co-membership in an active context."""
@@ -95,8 +95,8 @@ class _Problem:
         return orth
 
     def drop_context(
-        self, c: int, rest: int, orth: list[int], allowed: int
-    ) -> tuple[list[int], int]:
+        self, c: int, rest: int, orth: Sequence[int], allowed: int
+    ) -> tuple[Sequence[int], int]:
         """At-most-one masks and allowed projectors once context c leaves.
 
         orth and allowed belong to the active contexts, rest is their
@@ -106,7 +106,7 @@ class _Problem:
         ctx_masks = self.ctx_masks
         by_context = self.mode is Mode.CONTEXT_ONLY
         if by_context:
-            orth = orth.copy()
+            orth = list(orth)
         members = ctx_masks[c]
         while members:
             bit = members & -members
@@ -137,19 +137,14 @@ def _compile(s: KSSet, mode: Mode) -> _Problem:
         ctx_masks.append(m)
     full_orth = None
     if mode is Mode.FULL:
-        graph = orthogonality_graph(s)
-        full_orth = [0] * len(ids)
-        for pid, nbrs in graph.items():
-            m = 0
-            for q in nbrs:
-                m |= 1 << index[q]
-            full_orth[index[pid]] = m
+        # Called through this module's binding, which tracers wrap.
+        full_orth = orthogonality_graph(s).masks
     return _Problem(ids, index, ctx_masks, mode, full_orth, occurrences)
 
 
 def _solve(
     masks: list[int],
-    orth: list[int],
+    orth: Sequence[int],
     allowed: int,
     stats: SearchStats | None = None,
 ) -> int | None:
@@ -241,7 +236,7 @@ def _solve(
 
 def _compile_uncolorable(
     s: KSSet, mode: Mode, stats: SearchStats | None, why: str
-) -> tuple[_Problem, list[int], int]:
+) -> tuple[_Problem, Sequence[int], int]:
     """Compile s and prove it uncolorable, else raise NotKSError(why).
     Returns the problem with the at-most-one masks and the allowed
     projectors of all its contexts, the start of every removal."""
@@ -262,11 +257,12 @@ def _check(s: KSSet, asg: Assignment, mode: Mode) -> bool:
             return False
     ones = [pid for pid, v in asg.values.items() if v]
     if mode is Mode.FULL:
-        graph = orthogonality_graph(s)
-        for i, p in enumerate(ones):
-            for q in ones[i + 1:]:
-                if q in graph[p]:
-                    return False
+        masks = orthogonality_graph(s).masks
+        index = {pid: i for i, pid in enumerate(s.projectors)}
+        mask = 0
+        for pid in ones:
+            mask |= 1 << index[pid]
+        return not any(masks[index[pid]] & mask for pid in ones)
     else:
         members: dict[str, set[int]] = {}
         for ci, ctx in enumerate(s.contexts):
@@ -363,21 +359,22 @@ def export_cnf(s: KSSet, mode: Mode = Mode.FULL) -> str:
     """
     problem = _compile(s, mode)
     n = len(problem.ids)
-    pairs: set[tuple[int, int]] = set()
     if mode is Mode.FULL:
-        graph = orthogonality_graph(s)
-        for pid, nbrs in graph.items():
-            i = problem.index[pid]
-            for q in nbrs:
-                j = problem.index[q]
-                if i < j:
-                    pairs.add((i, j))
+        pairs = []
+        for i, m in enumerate(problem.full_orth):
+            later = m >> (i + 1)
+            while later:
+                bit = later & -later
+                later ^= bit
+                pairs.append((i, i + bit.bit_length()))
     else:
+        pair_set: set[tuple[int, int]] = set()
         for ctx in s.contexts:
             idxs = sorted(problem.index[pid] for pid in ctx)
             for a in range(len(idxs)):
                 for b in range(a + 1, len(idxs)):
-                    pairs.add((idxs[a], idxs[b]))
+                    pair_set.add((idxs[a], idxs[b]))
+        pairs = sorted(pair_set)
     lines = []
     for i, pid in enumerate(problem.ids):
         lines.append(f"c var {i + 1} = projector {pid}")
@@ -385,6 +382,6 @@ def export_cnf(s: KSSet, mode: Mode = Mode.FULL) -> str:
     for ctx in s.contexts:
         lits = " ".join(str(problem.index[pid] + 1) for pid in ctx)
         lines.append(f"{lits} 0")
-    for i, j in sorted(pairs):
+    for i, j in pairs:
         lines.append(f"-{i + 1} -{j + 1} 0")
     return "\n".join(lines) + "\n"

@@ -141,3 +141,44 @@ def test_seed_rotated_form_is_transformed_18_9(s18):
     assert symbol(rot).detailed == symbol(s18).detailed == "18^1_2 - 9^4_4"
     assert is_ks(rot) and is_parity(rot)
     assert is_critical(rot, Mode.FULL).overall
+
+
+def test_every_set_serializes_as_before():
+    # sha256 of each entry's and seed's set file, NUL-separated, in NAMES
+    # then SEED_NAMES order; render_scalar's alias search must not move it
+    import hashlib
+
+    digest = hashlib.sha256()
+    for name in catalog.NAMES + catalog.SEED_NAMES:
+        digest.update(serialize(catalog.seed_set(name)).encode())
+        digest.update(b"\0")
+    assert digest.hexdigest() == (
+        "d45f33582c7cf8ddf30c0928b6f5aba6954bc6e3b9fb07e8558c5d4ef6090039"
+    )
+
+
+def test_listing_matches_loaded_entries():
+    listed = catalog.listing()
+    assert [name for name, _, _ in listed] == list(catalog.NAMES)
+    for name, dimension, compact in listed:
+        entry = catalog.get(name)
+        assert (dimension, compact) == (entry.dimension, entry.expected_compact)
+        assert (compact, dimension) == EXPECTED_COMPACT[name]
+
+
+def test_catalog_list_parses_nothing(monkeypatch, capsys):
+    from ksets import cli, setfile
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("catalog list parsed a set")
+
+    for module, attr in ((setfile, "parse"), (catalog, "parse"),
+                         (catalog, "_load"), (catalog, "get")):
+        monkeypatch.setattr(module, attr, refuse)
+    assert cli.main(["catalog", "list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        f"{name} d={dim} {compact}"
+        for name, (compact, dim) in sorted(
+            EXPECTED_COMPACT.items(), key=lambda kv: catalog.NAMES.index(kv[0]))
+    ]

@@ -272,3 +272,36 @@ def test_pack_round_trip_and_ring_homomorphism(x, y):
 def test_unpack_reads_negative_digits():
     x = CycNum((-(2**62), 3, -1, 0, 0, 0, 0, 2**62 - 1))
     assert unpack(pack(x), 1) == x
+
+
+def _render_by_division(x: CycNum) -> str | None:
+    """The alias form render_scalar must find, dividing by inv() each time:
+    None when x is not a rational multiple of w3, s2 or s3."""
+    for name, alias in (("w3", OMEGA3), ("s2", SQRT2), ("s3", SQRT3)):
+        q = x * alias.inv()
+        if q.israt:
+            return name
+    return None
+
+
+@given(cycnums, st.sampled_from((OMEGA3, SQRT2, SQRT3, ONE)))
+@settings(max_examples=100)
+def test_render_alias_choice_matches_division_by_inverses(x, alias):
+    for y in (x, x * alias, CycNum.from_rational(3) * alias):
+        if y.is_zero() or y.israt or sum(1 for c in y.num if c) == 1:
+            continue
+        name = _render_by_division(y)
+        text = render_scalar(y)
+        if name is None:
+            assert not text.endswith(("w3", "s2", "s3"))
+        else:
+            assert text.endswith(name)
+        assert parse_scalar(text) == y
+
+
+def test_alias_inverses_are_exact():
+    from ksets.cyclo import _ALIAS_INVERSES, _ALIASES
+
+    for name, inverse in _ALIAS_INVERSES:
+        assert _ALIASES[name] * inverse == ONE
+        assert _ALIASES[name].inv() == inverse

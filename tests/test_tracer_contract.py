@@ -1,0 +1,89 @@
+"""Module bindings that call-counting tracers rely on.
+
+A tracer (such as perfbench/spans.py) replaces a public function by a
+counting wrapper in every ksets module that binds it.  These tests do the
+same and check that the calls still arrive: the search reaches the graph
+through verify's binding, and the graph calls inner once per pair of span
+rays it has to compare.
+"""
+
+from __future__ import annotations
+
+import itertools
+import sys
+
+import pytest
+
+from ksets import catalog, model, verify
+from ksets.setfile import parse, serialize
+
+
+def _count_calls(monkeypatch, module, name: str) -> list[int]:
+    """Rebind module.name, in every ksets module bound to it, to a wrapper
+    that counts its calls."""
+    original = getattr(module, name)
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key == "ksets" or key.startswith("ksets."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def _fresh(name: str) -> model.KSSet:
+    """An unvalidated copy of a catalog set, with no cached graph."""
+    return parse(serialize(catalog.seed_set(name)))
+
+
+def test_is_ks_reaches_the_graph_through_the_module_binding(monkeypatch):
+    calls = _count_calls(monkeypatch, model, "orthogonality_graph")
+    assert verify.orthogonality_graph is model.orthogonality_graph
+    s = _fresh("d4-18-9")
+    assert verify.is_ks(s)
+    assert calls[0] == 1
+    # the graph is cached on the set, and is still read through the binding
+    assert verify.is_ks(s)
+    assert calls[0] == 2
+    s = _fresh("d4-18-9")
+    s.contexts.pop()  # the set is critical, so this leaves it colorable
+    # compiling the search and re-checking the witness each read the graph
+    assert verify.find_assignment(s) is not None
+    assert calls[0] == 4
+
+
+def _pairs_reaching_inner(s: model.KSSet) -> int:
+    """Span-ray pairs that a pairwise projector comparison sends to inner:
+    overlapping supports, up to the first nonzero product of each pair of
+    projectors whose supports overlap."""
+    total = 0
+    for p, q in itertools.combinations(s.projectors.values(), 2):
+        if not p.support & q.support:
+            continue
+        for u in p.span:
+            for v in q.span:
+                if u.support & v.support:
+                    total += 1
+                    if not model.inner(u, v).is_zero():
+                        break
+            else:
+                continue
+            break
+    return total
+
+
+@pytest.mark.parametrize("name, expected", [("d4-18-9", 129), ("d10-30-9", 321)])
+def test_graph_calls_inner_once_per_overlapping_pair(monkeypatch, name, expected):
+    s = _fresh(name)
+    model.ensure_valid(s)
+    assert _pairs_reaching_inner(s) == expected
+    calls = _count_calls(monkeypatch, model, "inner")
+    model.orthogonality_graph(s)
+    assert calls[0] == expected
+    model.orthogonality_graph(s)
+    assert calls[0] == expected
