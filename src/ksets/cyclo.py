@@ -5,6 +5,10 @@ rationals, the cube and sixth roots of unity, sqrt(2) and sqrt(3).  Elements
 are stored as integer coefficient vectors over a common positive denominator,
 reduced modulo the minimal polynomial x^8 - x^4 + 1, so equality is
 coefficient-wise and every operation is exact.
+
+The field automorphisms z -> z^k, k a unit mod 24, are integer tables
+(_GALOIS); conjugation is k = 23 and inversion multiplies by Galois images
+until the product is rational.
 """
 
 from __future__ import annotations
@@ -17,9 +21,6 @@ from math import gcd
 from .errors import ScalarSyntaxError
 
 DEGREE = 8
-
-# x^8 - x^4 + 1, little-endian.
-MIN_POLY = (1, 0, 0, 0, -1, 0, 0, 0, 1)
 
 
 def _reduce(vec: list[int]) -> list[int]:
@@ -46,6 +47,26 @@ def _power_table() -> tuple[tuple[int, ...], ...]:
 
 
 _POW = _power_table()
+
+# _GALOIS[k][i]: the nonzero (index, coefficient) pairs of z^(k*i mod 24),
+# the image of z^i under the automorphism z -> z^k.
+_GALOIS = {
+    k: tuple(
+        tuple((j, c) for j, c in enumerate(_POW[k * i % 24]) if c)
+        for i in range(DEGREE)
+    )
+    for k in (5, 7, 13, 23)
+}
+
+
+def _galois(x: CycNum, k: int) -> CycNum:
+    """The image of x under the automorphism z -> z^k."""
+    out = [0] * DEGREE
+    for c, row in zip(x.num, _GALOIS[k]):
+        if c:
+            for j, r in row:
+                out[j] += c * r
+    return CycNum(out, x.den)
 
 
 class CycNum:
@@ -162,28 +183,28 @@ class CycNum:
 
     def conj(self) -> CycNum:
         """Complex conjugation, the automorphism sending z to z^23."""
-        out = [0] * DEGREE
-        num = self.num
-        out[0] = num[0]
-        for k in range(1, DEGREE):
-            c = num[k]
-            if c:
-                row = _POW[24 - k]
-                for j in range(DEGREE):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return CycNum(out, self.den)
+        return _galois(self, 23)
 
     def inv(self) -> CycNum:
-        """Multiplicative inverse via the extended Euclidean algorithm on
-        polynomials modulo the minimal polynomial."""
+        """Multiplicative inverse through the Galois group
+        (Z/24)* = <5, 7, 13>.
+
+        x1 = x s5(x) is fixed by s5, x2 = x1 s7(x1) by s5 and s7, and
+        x3 = x2 s13(x2) by the whole group, so x3 is the rational norm of x
+        (sk the automorphism z -> z^k).  Then 1/x = s5(x) s7(x1) s13(x2) / x3;
+        the walk stops at the first rational xi.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if self.israt:
-            return CycNum((self.den, 0, 0, 0, 0, 0, 0, 0), self.num[0])
-        a = [Fraction(c, self.den) for c in self.num]
-        s = _poly_invert(a)
-        return CycNum.from_coeffs(s)
+        x, cofactor = self, ONE
+        for k in (5, 7, 13):
+            if x.israt:
+                break
+            image = _galois(x, k)
+            x, cofactor = x * image, cofactor * image
+        # x is the rational x.num[0] / x.den now.
+        return CycNum([c * x.den for c in cofactor.num],
+                      cofactor.den * x.num[0])
 
     def __truediv__(self, other: CycNum) -> CycNum:
         return self * other.inv()
@@ -221,52 +242,6 @@ class CycNum:
             if c:
                 acc += c * z**k
         return acc / self.den
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    r = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    while len(r) - 1 >= db and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
-            break
-        shift = len(r) - 1 - db
-        coef = r[-1] / lead
-        q[shift] = coef
-        for i in range(len(b)):
-            r[shift + i] -= coef * b[i]
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
-
-
-def _poly_invert(a: list[Fraction]) -> list[Fraction]:
-    """Coefficients s with s*a = 1 modulo the minimal polynomial."""
-    r0 = [Fraction(c) for c in MIN_POLY]
-    r1 = list(a)
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while True:
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        if len(r1) == 1:
-            break
-        q, r = _poly_divmod(r0, r1)
-        s = list(s0)
-        s += [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s))
-        for i, qc in enumerate(q):
-            if qc:
-                for j, sc in enumerate(s1):
-                    if sc:
-                        s[i + j] -= qc * sc
-        r0, r1 = r1, r
-        s0, s1 = s1, s
-    c = r1[0]
-    out = [sc / c for sc in s1]
-    out += [Fraction(0)] * (DEGREE - len(out))
-    return out[:DEGREE]
 
 
 # Kronecker substitution z -> X = 2^64.  N = X^8 - X^4 + 1 is the minimal

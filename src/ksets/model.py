@@ -6,9 +6,11 @@ never a tolerance anywhere in the model.
 
 Equal subspaces are found through one hash index, SubspaceIndex, shared by
 validate and the constructions: keys are exact images of each subspace's
-orthogonal projector, and a key match is confirmed exactly.  The full
-orthogonality relation of a set is computed once, as one integer bitmask per
-projector; orthogonality_graph hands it out as a read-only mapping view.
+orthogonal projector, and a key match is confirmed exactly by Pythagoras:
+a vector lies in a span when its projection keeps all of its norm.  The
+full orthogonality relation of a set is computed once, as one integer
+bitmask per projector; orthogonality_graph hands it out as a read-only
+mapping view.
 """
 
 from __future__ import annotations
@@ -41,14 +43,14 @@ class Ray:
     def _pack(self) -> None:
         """Cache the packed image (see cyclo.pack) of the entries scaled by
         the lcm of their denominators, of their conjugates, that lcm and the
-        L1 norm of the scaled integer numerators."""
-        l = lcm(*(e.den for e in self.entries))
-        vals, conjs, norm1 = [], [], 0
-        for e in self.entries:
+        L1 norm of the scaled integer numerators.  Zero entries pack to 0."""
+        l = lcm(*(self.entries[i].den for i in self.support))
+        vals, conjs, norm1 = [0] * self.dimension, [0] * self.dimension, 0
+        for i in self.support:
+            e = self.entries[i]
             m = l // e.den
-            v = pack(e) * m
-            vals.append(v)
-            conjs.append(v if e.israt else pack(e.conj()) * m)
+            v = vals[i] = pack(e) * m
+            conjs[i] = v if e.israt else pack(e.conj()) * m
             norm1 += m * sum(map(abs, e.num))
         self._vals = tuple(vals)
         self._conjs = self._vals if conjs == vals else tuple(conjs)
@@ -197,59 +199,32 @@ def projector_orthogonal(p: Projector, q: Projector) -> bool:
     return True
 
 
-def _image_outside(u: Ray, basis: tuple[Ray, ...]) -> bool:
-    """True when the image mod N of the division-free projection residual
-    (prod n_k) u - sum_k <q_k,u> (prod_{j!=k} n_j) q_k, with n_k = <q_k,q_k>,
-    is nonzero.  That proves u is outside span(basis) for an orthogonal
-    basis; a zero image decides nothing."""
-    for ray in (u, *basis):
-        if ray._vals is None:
-            ray._pack()
-    norms = [sum(map(mul, q._conjs, q._vals)) % PACK_MOD for q in basis]
-    coefs = [
-        sum(map(mul, q._conjs, u._vals))
-        * prod(norms[:k] + norms[k + 1:])
-        % PACK_MOD
-        for k, q in enumerate(basis)
-    ]
-    total = prod(norms) % PACK_MOD
-    for i, a in enumerate(u._vals):
-        r = total * a - sum(c * q._vals[i] for c, q in zip(coefs, basis))
-        if r % PACK_MOD:
-            return True
-    return False
+def _in_span(u: Ray, basis: tuple[Ray, ...]) -> bool:
+    """True when u lies in the span of the mutually orthogonal rays basis.
 
-
-def _residual(u: Ray, basis: tuple[Ray, ...]) -> bool:
-    """True when u has zero residual after projection onto span(basis)."""
-    if _image_outside(u, basis):
-        return False
-    entries = list(u.entries)
-    for q in basis:
-        overlap = ZERO
-        for i in q.support:
-            if not entries[i].is_zero():
-                overlap = overlap + q.entries[i].conj() * entries[i]
-        if overlap.is_zero():
-            continue
-        coef = overlap * inner(q, q).inv()
-        for i in q.support:
-            entries[i] = entries[i] - coef * q.entries[i]
-    return all(e.is_zero() for e in entries)
+    With n_k = <q_k,q_k> and P the orthogonal projection onto the span,
+    |u|^2 = |Pu|^2 + |u - Pu|^2 and |Pu|^2 = sum_k |<q_k,u>|^2 / n_k, so the
+    residual u - Pu is zero exactly when
+    |u|^2 prod n_k = sum_k |<q_k,u>|^2 prod_{j!=k} n_j.  For one ray this is
+    equality in Cauchy-Schwarz.
+    """
+    norms = [inner(q, q) for q in basis]
+    total = ZERO
+    for k, q in enumerate(basis):
+        c = inner(q, u)
+        total = total + prod(norms[:k] + norms[k + 1:], start=c.conj() * c)
+    return prod(norms, start=inner(u, u)) == total
 
 
 def projector_equal(p: Projector, q: Projector) -> bool:
-    """True when p and q are the same subspace."""
+    """True when p and q are the same subspace: equal ranks, and every span
+    ray of p in the span of q."""
     dp, dq = len(p.span[0].entries), len(q.span[0].entries)
     if dp != dq:
         raise DimensionMismatch(f"dimensions {dp} != {dq}")
-    if p.rank != q.rank:
+    if p.rank != q.rank or p.support != q.support:
         return False
-    if p.rank == 1:
-        return ray_equal(p.span[0], q.span[0])
-    if p.support != q.support:
-        return False
-    return all(_residual(u, q.span) for u in p.span)
+    return all(_in_span(u, q.span) for u in p.span)
 
 
 @cache

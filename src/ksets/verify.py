@@ -359,22 +359,13 @@ def export_cnf(s: KSSet, mode: Mode = Mode.FULL) -> str:
     """
     problem = _compile(s, mode)
     n = len(problem.ids)
-    if mode is Mode.FULL:
-        pairs = []
-        for i, m in enumerate(problem.full_orth):
-            later = m >> (i + 1)
-            while later:
-                bit = later & -later
-                later ^= bit
-                pairs.append((i, i + bit.bit_length()))
-    else:
-        pair_set: set[tuple[int, int]] = set()
-        for ctx in s.contexts:
-            idxs = sorted(problem.index[pid] for pid in ctx)
-            for a in range(len(idxs)):
-                for b in range(a + 1, len(idxs)):
-                    pair_set.add((idxs[a], idxs[b]))
-        pairs = sorted(pair_set)
+    pairs = []
+    for i, m in enumerate(problem.orth_for(range(len(s.contexts)))):
+        later = m >> (i + 1)
+        while later:
+            bit = later & -later
+            later ^= bit
+            pairs.append((i, i + bit.bit_length()))
     lines = []
     for i, pid in enumerate(problem.ids):
         lines.append(f"c var {i + 1} = projector {pid}")

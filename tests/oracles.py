@@ -3,12 +3,34 @@
 These deliberately avoid the package's solver machinery: plain exhaustive
 enumeration over all 2^R valuations, and a clause-by-clause DIMACS model
 enumerator.  Both are only usable for small sets but are obviously correct.
+The field automorphisms get the same treatment: a coefficient-by-coefficient
+substitution of powers of z read from the reduction table.
 """
 
 from __future__ import annotations
 
+from ksets.cyclo import _POW, DEGREE, CycNum
 from ksets.model import KSSet, orthogonality_graph
 from ksets.verify import Mode
+
+
+def reference_galois(x: CycNum, k: int) -> CycNum:
+    """The image of x under z -> z^k: each z^i replaced by the reduced
+    z^(k*i mod 24)."""
+    out = [0] * DEGREE
+    for i, c in enumerate(x.num):
+        for j, r in enumerate(_POW[k * i % 24]):
+            out[j] += c * r
+    return CycNum(out, x.den)
+
+
+def reference_conj(x: CycNum) -> CycNum:
+    """Complex conjugation: each z^i replaced by the reduced z^(24-i)."""
+    out = [0] * DEGREE
+    for i, c in enumerate(x.num):
+        for j, r in enumerate(_POW[(24 - i) % 24]):
+            out[j] += c * r
+    return CycNum(out, x.den)
 
 
 def brute_force_witness(

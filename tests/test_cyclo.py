@@ -4,6 +4,8 @@ Core claims:
     - the reduction table is consistent with numeric evaluation at the root
     - conjugation is the field automorphism fixing the rationals
     - inversion satisfies a * inv(a) = 1, division by zero raises
+    - the Galois automorphisms z -> z^k compose as the units mod 24 multiply,
+      and the product of all eight images is rational
     - the entry grammar parses all alias forms and round-trips rendering
 """
 
@@ -32,8 +34,10 @@ from ksets.cyclo import (
     render_scalar,
     unpack,
     zeta,
+    _galois,
 )
 from ksets.errors import ScalarSyntaxError
+from oracles import reference_conj, reference_galois
 
 
 def approx_equal(a: complex, b: complex, tol: float = 1e-9) -> bool:
@@ -305,3 +309,83 @@ def test_alias_inverses_are_exact():
     for name, inverse in _ALIAS_INVERSES:
         assert _ALIASES[name] * inverse == ONE
         assert _ALIASES[name].inv() == inverse
+
+
+# -- Galois automorphisms and the norm-tower inverse ------------------------
+
+_TABULATED = (5, 7, 13, 23)
+_UNITS_MOD_24 = (1, 5, 7, 11, 13, 17, 19, 23)
+huge_cycnums = st.lists(
+    st.integers(min_value=-(2**40), max_value=2**40), min_size=8, max_size=8
+).map(CycNum)
+
+
+@given(cycnums, cycnums, st.sampled_from(_TABULATED))
+@settings(max_examples=100)
+def test_galois_images_preserve_sums_and_products(a, b, k):
+    assert _galois(a + b, k) == _galois(a, k) + _galois(b, k)
+    assert _galois(a * b, k) == _galois(a, k) * _galois(b, k)
+    assert _galois(a, k) == reference_galois(a, k)
+
+
+@given(cycnums)
+@settings(max_examples=50)
+def test_galois_images_compose_as_units_multiply(x):
+    for a in _TABULATED:
+        for b in _TABULATED:
+            assert _galois(_galois(x, b), a) == reference_galois(x, a * b % 24)
+    assert _galois(_galois(x, 5), 5) == x
+
+
+@given(cycnums)
+@settings(max_examples=50)
+def test_conj_is_galois_23_and_matches_reference(x):
+    assert x.conj() == _galois(x, 23) == reference_conj(x)
+
+
+@given(nonzero_cycnums)
+@settings(max_examples=50)
+def test_product_of_all_images_is_rational_norm(x):
+    images = [reference_galois(x, k) for k in _UNITS_MOD_24]
+    norm = ONE
+    for image in images:
+        norm = norm * image
+    assert norm.is_rational() and not norm.is_zero()
+    cofactor = ONE
+    for image in images[1:]:
+        cofactor = cofactor * image
+    assert x.inv() == cofactor * norm.inv()
+
+
+@given(huge_cycnums.filter(lambda x: not x.is_zero()))
+@settings(max_examples=100)
+def test_mul_inverse_with_huge_coefficients(a):
+    assert a * a.inv() == ONE
+    assert a.inv().inv() == a
+
+
+def test_inverse_stops_at_first_rational_step():
+    # s5 sends sqrt(3) = z^2 + z^22 to z^10 + z^14 = -sqrt(3), so
+    # x1 = x s5(x) = -3 is already rational
+    assert _galois(SQRT3, 5) == -SQRT3
+    assert SQRT3.inv() == CycNum(SQRT3.num, 3)
+    # z s5(z) = z^6 and z^6 s7(z^6) = z^48 = 1: two steps
+    assert zeta(1).inv() == zeta(23)
+
+
+def test_inverse_of_every_irrational_catalog_entry():
+    from ksets import catalog
+
+    entries = {
+        e
+        for name in catalog.NAMES + catalog.SEED_NAMES
+        for proj in catalog.seed_set(name).projectors.values()
+        for ray in proj.span
+        for e in ray.entries
+        if not e.is_rational()
+    }
+    assert len(entries) >= 6  # +-s2, +-w3, +-z^4
+    for e in entries:
+        assert e * e.inv() == ONE
+        # 1/e = conj(e) / |e|^2, through the inverse of a real element
+        assert e.inv() == e.conj() * (e * e.conj()).inv()

@@ -3,12 +3,14 @@ comparisons, validation and the symbol calculus."""
 
 from __future__ import annotations
 
+from math import lcm
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import basis_set, make_ray
-from ksets.cyclo import OMEGA3, PACK_BASE, SQRT2, ZERO, CycNum, zeta
+from ksets.cyclo import OMEGA3, PACK_BASE, SQRT2, ZERO, CycNum, pack, zeta
 from ksets.errors import DimensionMismatch
 from ksets.model import (
     KSSet,
@@ -300,6 +302,22 @@ def _field_rays(draw, dimension=3):
     coeffs = st.one_of(_small, _huge) if draw(st.booleans()) else _small
     entries = st.one_of(st.just(ZERO), _scalars(coeffs))
     return Ray(draw(st.lists(entries, min_size=dimension, max_size=dimension)))
+
+
+def _reference_pack(ray: Ray) -> tuple:
+    """(_vals, _conjs, _lcm, _norm1) packed from every entry, zeros too."""
+    l = lcm(*(e.den for e in ray.entries))
+    vals = tuple(pack(e) * (l // e.den) for e in ray.entries)
+    conjs = tuple(pack(e.conj()) * (l // e.den) for e in ray.entries)
+    norm1 = sum((l // e.den) * sum(map(abs, e.num)) for e in ray.entries)
+    return vals, conjs, l, norm1
+
+
+@given(_field_rays(dimension=6))
+@settings(max_examples=100)
+def test_pack_of_supported_entries_matches_packing_every_entry(ray):
+    ray._pack()
+    assert (ray._vals, ray._conjs, ray._lcm, ray._norm1) == _reference_pack(ray)
 
 
 @given(_field_rays(), _field_rays())

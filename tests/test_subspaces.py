@@ -1,11 +1,13 @@
 """Subspace keys, the shared de-duplication index and the bitmask
-orthogonality graph, each checked against pairwise exact comparison."""
+orthogonality graph, each checked against pairwise exact comparison, and the
+span-membership test that confirms a key match."""
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
 from collections.abc import Mapping
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -257,3 +259,86 @@ def test_key_is_none_when_a_norm_is_not_a_unit(monkeypatch):
     assert model._subspace_key(Projector(p.span[:1])) is not None
     index = SubspaceIndex()
     assert index.add("p", p) == "p" and index.add("q", q) == "p"
+
+
+# -- span membership by Pythagoras -----------------------------------------
+
+_ONE = CycNum.from_rational(1)
+
+
+def _irrational_span(rank: int) -> Projector:
+    """Mutually orthogonal rays in dimension 6 whose norms are irrational:
+    4 + 2 s2, 5 - s3 and 9 + 4 s3."""
+    rays = (
+        Ray((_ONE + SQRT2, zeta(1), ZERO, ZERO, ZERO, ZERO)),
+        Ray((ZERO, ZERO, SQRT3 + OMEGA3, _ONE, ZERO, ZERO)),
+        Ray((ZERO, ZERO, ZERO, ZERO, SQRT3 + CycNum.from_rational(2), zeta(5))),
+    )
+    return Projector(rays[:rank])
+
+
+def _other_basis(p: Projector) -> Projector:
+    span = list(p.span)
+    span[0], span[1] = _mix(span[0], span[1], SQRT2, zeta(5) + OMEGA3)
+    if len(span) == 3:
+        span[1], span[2] = _mix(span[1], span[2], SQRT3, _ONE)
+        span[0], span[2] = _mix(span[0], span[2], zeta(1), OMEGA3)
+    return Projector(tuple(reversed(span)))
+
+
+def _perturbed(ray: Ray) -> Ray:
+    """ray with 1/7 added to its first entry that is not rational."""
+    entries = list(ray.entries)
+    i = next(i for i, e in enumerate(entries) if not e.is_rational())
+    entries[i] = entries[i] + CycNum.from_rational(Fraction(1, 7))
+    return Ray(tuple(entries))
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_span_with_irrational_norms_in_another_basis(rank):
+    p = _irrational_span(rank)
+    q = _other_basis(p)
+    for u, v in itertools.combinations(q.span, 2):
+        assert inner(u, v).is_zero()
+    for n in (inner(u, u) for u in p.span + q.span):
+        assert not n.is_rational()
+    assert p.support == q.support
+    assert projector_equal(p, q) and projector_equal(q, p)
+    assert all(model._in_span(u, p.span) for u in q.span)
+    # one perturbed entry takes a ray out of the span, and the set it spans
+    # with the others is a different subspace
+    for k in range(rank):
+        bad = _perturbed(q.span[k])
+        assert bad.support == q.span[k].support
+        assert not model._in_span(bad, p.span)
+        other = Projector(q.span[:k] + (bad,) + q.span[k + 1:])
+        assert not projector_equal(other, p)
+
+
+@st.composite
+def _ray_pairs(draw):
+    """(u, v) with v a nonzero multiple of u, u with one entry changed, or
+    another ray; entries in a small set of field elements with zeros."""
+    values = st.sampled_from((ZERO, ZERO, _ONE, CycNum.from_rational(-2),
+                              SQRT2, SQRT3 + _ONE, OMEGA3, zeta(1)))
+    nonzero = st.lists(values, min_size=4, max_size=4).filter(
+        lambda es: any(not e.is_zero() for e in es))
+    u = Ray(draw(nonzero))
+    how = draw(st.sampled_from(("scaled", "changed", "other")))
+    if how == "other":
+        return u, Ray(draw(nonzero))
+    c = draw(values.filter(lambda e: not e.is_zero()))
+    entries = [c * e for e in u.entries]
+    if how == "changed":
+        i = draw(st.integers(0, 3))
+        entries[i] = entries[i] + draw(values)
+        if all(e.is_zero() for e in entries):
+            entries[i] = _ONE
+    return u, Ray(tuple(entries))
+
+
+@given(_ray_pairs())
+@settings(max_examples=150, deadline=None)
+def test_rank_one_projector_equal_agrees_with_ray_equal(pair):
+    u, v = pair
+    assert projector_equal(Projector((u,)), Projector((v,))) == model.ray_equal(u, v)

@@ -4,7 +4,8 @@ A tracer (such as perfbench/spans.py) replaces a public function by a
 counting wrapper in every ksets module that binds it.  These tests do the
 same and check that the calls still arrive: the search reaches the graph
 through verify's binding, and the graph calls inner once per pair of span
-rays it has to compare.
+rays it has to compare.  CycNum methods are wrapped in the class dict, and
+ray work still calls them there.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import sys
 import pytest
 
 from ksets import catalog, model, verify
+from ksets.cyclo import OMEGA3, SQRT2, ZERO, CycNum
 from ksets.setfile import parse, serialize
 
 
@@ -87,3 +89,30 @@ def test_graph_calls_inner_once_per_overlapping_pair(monkeypatch, name, expected
     assert calls[0] == expected
     model.orthogonality_graph(s)
     assert calls[0] == expected
+
+
+def _count_method_calls(monkeypatch, name: str) -> list[int]:
+    """Replace CycNum.name in the class dict by a counting wrapper."""
+    original = CycNum.__dict__[name]
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(CycNum, name, counting)
+    return calls
+
+
+def test_ray_work_reaches_inv_and_conj_through_the_class(monkeypatch):
+    # the benchmark counts CycNum.inv and CycNum.conj this way, so rays must
+    # call the methods rather than the Galois helper behind them
+    inv_calls = _count_method_calls(monkeypatch, "inv")
+    conj_calls = _count_method_calls(monkeypatch, "conj")
+    ray = model.Ray((ZERO, SQRT2, CycNum.from_rational(3), ZERO, OMEGA3, SQRT2))
+    ray.canonical()
+    assert inv_calls[0] == 1
+    ray._pack()
+    # one conjugate per supported entry that is not rational
+    assert conj_calls[0] == 3
+    assert inv_calls[0] == 1

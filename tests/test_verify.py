@@ -328,6 +328,19 @@ def test_cnf_agrees_with_enumerator(s18):
     assert not naive_cnf_satisfiable(export_cnf(s18, Mode.CONTEXT_ONLY))
 
 
+def test_cnf_of_every_set_in_both_modes_is_pinned():
+    # Every catalog entry and seed in NAMES then SEED_NAMES order, full then
+    # context mode, concatenated.  The digest was taken when context mode
+    # collected its pairs from the contexts in a set of its own; both modes
+    # now read them from the at-most-one masks of the search.
+    digest = hashlib.sha256()
+    for name in catalog.NAMES + catalog.SEED_NAMES:
+        for mode in Mode:
+            digest.update(export_cnf(catalog.seed_set(name), mode).encode())
+    assert digest.hexdigest() == (
+        "f0b8673befdaa3561572342bebce69d4478f22e5a78f47281955b03f6cc11ca0")
+
+
 def test_cnf_variable_order_matches_file_order(s18):
     text = export_cnf(s18, Mode.FULL)
     comments = [l for l in text.splitlines() if l.startswith("c var")]
