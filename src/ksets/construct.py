@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import catalog
 from .cyclo import CycNum, ONE, ZERO
@@ -244,27 +244,28 @@ def optimize_pairing(s1: KSSet, s2: KSSet, seed: int = 0) -> Pairing:
         counts = [0] * b_small
         slots = [0] * b_large
 
-        def feasible(pos: int) -> bool:
-            remaining = b_large - pos
-            needed = sum(1 for c in counts if c == 0 or c % 2 == 0)
-            return needed <= remaining and (remaining - needed) % 2 == 0
-
-        def dfs(pos: int) -> None:
+        def dfs(pos: int, even: int) -> None:
+            """Fill slots[pos:], with even the number of small contexts
+            used an even number of times so far (zero included).  Each of
+            them needs one more use among the slots left, and the slots
+            beyond those must come in pairs."""
             nonlocal best
             if pos == b_large:
                 got = score(tuple(slots))
                 if best is None or got > best[0]:
                     best = (got, tuple(slots))
                 return
+            remaining = b_large - pos - 1
             for j in range(b_small):
                 counts[j] += 1
                 slots[pos] = j
-                if feasible(pos + 1):
-                    dfs(pos + 1)
+                needed = even - 1 if counts[j] % 2 else even + 1
+                if needed <= remaining and (remaining - needed) % 2 == 0:
+                    dfs(pos + 1, needed)
                 counts[j] -= 1
             slots[pos] = 0
 
-        dfs(0)
+        dfs(0, b_small)
         assert best is not None, "no odd-usage pairing exists"
         return Pairing(best[1])
 
@@ -616,8 +617,13 @@ def build_chain(chain: str) -> KSSet:
     as d4-18-9-rot, or a nonnegative integer; the whole chain must give a
     set.  Arguments are built left to right, and each call runs once its
     arguments are built.  A malformed chain raises ChainSyntaxError and an
-    unknown name UnknownNameError."""
+    unknown name UnknownNameError.
+
+    The set is named after the chain, its whitespace runs made single
+    spaces, unless it is a seed the chain names (as rank_scale(s, 1) gives
+    s): catalog sets are shared, so they keep their own names."""
     calls: list[tuple[str, list]] = [("", [])]  # open calls and their args
+    seeds: list[KSSet] = []
     want_arg = True
     for word, paren, punct in _CHAIN_TOKEN.findall(chain):
         if want_arg and paren:
@@ -633,7 +639,8 @@ def build_chain(chain: str) -> KSSet:
                 raise ChainSyntaxError("number too long in chain") from None
             want_arg = False
         elif want_arg and word:
-            calls[-1][1].append(catalog.seed_set(word))
+            seeds.append(catalog.seed_set(word))
+            calls[-1][1].append(seeds[-1])
             want_arg = False
         elif not want_arg and punct == "," and len(calls) > 1:
             want_arg = True
@@ -652,9 +659,13 @@ def build_chain(chain: str) -> KSSet:
                 f"unexpected {word + paren or punct!r} in chain {chain!r}")
     if want_arg or len(calls) > 1:
         raise ChainSyntaxError(f"chain {chain!r} ends early")
-    if not isinstance(calls[0][1][0], KSSet):
+    out = calls[0][1][0]
+    if not isinstance(out, KSSet):
         raise ChainSyntaxError(f"chain {chain!r} gives no set")
-    return calls[0][1][0]
+    if any(out is seed for seed in seeds):
+        return out
+    # replace keeps the validation flag and the orthogonality masks.
+    return replace(out, name=" ".join(chain.split()))
 
 
 @dataclass

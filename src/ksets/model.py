@@ -5,9 +5,10 @@ equality, completeness) is made with exact field arithmetic, so there is
 never a tolerance anywhere in the model.
 
 Equal subspaces are found through one hash index, SubspaceIndex, shared by
-validate and the constructions: keys are exact images of each subspace's
-orthogonal projector, and a key match is confirmed exactly by Pythagoras:
-a vector lies in a span when its projection keeps all of its norm.  The
+validate and the constructions.  A subspace of any rank, a single ray
+included, is keyed by the exact image of its orthogonal projector, and a
+key match is confirmed exactly by Pythagoras: a vector lies in a span when
+its projection keeps all of its norm.  Ray equality is the same test.  The
 full orthogonality relation of a set is computed once, as one integer
 bitmask per projector; orthogonality_graph hands it out as a read-only
 mapping view.
@@ -28,16 +29,13 @@ from .errors import DimensionMismatch, ValidationError
 class Ray:
     """A nonzero vector regarded projectively: scalar multiples are equal."""
 
-    __slots__ = (
-        "entries", "support", "_canon", "_vals", "_conjs", "_lcm", "_norm1"
-    )
+    __slots__ = ("entries", "support", "_vals", "_conjs", "_lcm", "_norm1")
 
     def __init__(self, entries):
         self.entries: tuple[CycNum, ...] = tuple(entries)
         self.support = frozenset(
             i for i, e in enumerate(self.entries) if not e.is_zero()
         )
-        self._canon = None
         self._vals = None
 
     def _pack(self) -> None:
@@ -63,14 +61,6 @@ class Ray:
 
     def is_zero(self) -> bool:
         return not self.support
-
-    def canonical(self) -> tuple[CycNum, ...]:
-        """Representative with the first nonzero entry scaled to 1."""
-        if self._canon is None:
-            lead = min(self.support)
-            scale = self.entries[lead].inv()
-            self._canon = tuple(e * scale for e in self.entries)
-        return self._canon
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Ray) and self.entries == other.entries
@@ -182,9 +172,7 @@ def ray_equal(u: Ray, v: Ray) -> bool:
     """True when the rays are proportional (the same projective point)."""
     if len(u.entries) != len(v.entries):
         raise DimensionMismatch(f"dimensions {len(u.entries)} != {len(v.entries)}")
-    if u.support != v.support:
-        return False
-    return u.canonical() == v.canonical()
+    return u.support == v.support and _in_span(u, (v,))
 
 
 def projector_orthogonal(p: Projector, q: Projector) -> bool:
@@ -243,23 +231,24 @@ def _probe(d: int) -> tuple[int, ...]:
 def _subspace_key(proj: Projector) -> Hashable | None:
     """A key that equal subspaces share, or None when there is none.
 
-    Rank 1: the canonical ray, which decides equality on its own.  Rank
-    r >= 2: r and the image mod N of P w, with P = sum_k q_k q_k^dagger / n_k
-    the orthogonal projector onto the span (q_k the span rays, which must be
-    mutually orthogonal, and n_k = <q_k, q_k>) and w = _probe(d).  z -> X is
-    a ring homomorphism and the images of the n_k are units mod N, so equal
-    subspaces, having equal P, get equal keys whatever their bases.  The key
-    is None when prod n_k is not a unit mod N; every prime factor of N
-    exceeds 10^6, so only huge entries do this."""
+    The key of a rank-r subspace is r and the image mod N of P w, with
+    P = sum_k q_k q_k^dagger / n_k the orthogonal projector onto the span
+    (q_k the span rays, which must be mutually orthogonal, and
+    n_k = <q_k, q_k>) and w = _probe(d).  z -> X is a ring homomorphism and
+    the images of the n_k are units mod N, so equal subspaces, having equal
+    P, get equal keys whatever their bases; for a ray, any nonzero multiple
+    gives the same P.  The key is None when prod n_k is not a unit mod N;
+    every prime factor of N exceeds 10^6, so only huge entries do this."""
     span = proj.span
-    if len(span) == 1:
-        return span[0].canonical()
     for q in span:
         if q._vals is None:
             q._pack()
     # Scaling q_k by its lcm (the packed images) scales q_k q_k^dagger and
     # n_k alike.  One inverse serves every n_k: prefix[k] = n_0 ... n_{k-1}.
-    norms = [sum(map(mul, q._conjs, q._vals)) % PACK_MOD for q in span]
+    # The sums run over the support: padded rays are mostly zeros.
+    norms = [
+        sum(q._conjs[i] * q._vals[i] for i in q.support) % PACK_MOD for q in span
+    ]
     prefix = [1]
     for n in norms:
         prefix.append(prefix[-1] * n % PACK_MOD)
@@ -272,7 +261,8 @@ def _subspace_key(proj: Projector) -> Hashable | None:
     for k in range(len(span) - 1, -1, -1):
         q = span[k]
         # inv is 1 / prefix[k + 1] here, so inv * prefix[k] = 1 / n_k.
-        coef = sum(map(mul, q._conjs, w)) % PACK_MOD * (inv * prefix[k] % PACK_MOD)
+        coef = sum(q._conjs[i] * w[i] for i in q.support) % PACK_MOD
+        coef = coef * (inv * prefix[k] % PACK_MOD)
         inv = inv * norms[k] % PACK_MOD
         for i in q.support:
             image[i] += q._vals[i] * coef
@@ -283,10 +273,9 @@ class SubspaceIndex:
     """Projectors stored by id, at most one per subspace.
 
     Each projector is looked up by its _subspace_key, so the spans must be
-    orthogonal; a match of rank 2 or more is confirmed with projector_equal.
-    A projector without a key is compared exactly with every stored
-    projector of its rank and support, and every later projector of that
-    rank and support is compared with it too."""
+    orthogonal, and a key match is confirmed with projector_equal.  A
+    projector without a key is compared exactly with every stored
+    projector, and every later projector is compared with it too."""
 
     def __init__(self) -> None:
         self.table: dict[str, Projector] = {}
@@ -300,17 +289,9 @@ class SubspaceIndex:
         if key is None:
             candidates = list(self.table)
         else:
-            found = self._keyed.get(key)
-            if found is not None and proj.rank == 1:
-                return found[0]
-            candidates = (found or []) + self._unkeyed
+            candidates = self._keyed.get(key, []) + self._unkeyed
         for qid in candidates:
-            q = self.table[qid]
-            if (
-                q.rank == proj.rank
-                and q.support == proj.support
-                and projector_equal(q, proj)
-            ):
+            if projector_equal(self.table[qid], proj):
                 return qid
         self.table[pid] = proj
         if key is None:

@@ -226,6 +226,9 @@ def _solve(
         result = None
     else:
         result = search(*state, 0)
+    # search reaches itself through its closure cell; emptying the cell
+    # frees the closure now instead of at the next cyclic collection.
+    del search
     if stats is not None:
         stats.nodes += nodes
         stats.propagations += propagations

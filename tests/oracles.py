@@ -4,13 +4,14 @@ These deliberately avoid the package's solver machinery: plain exhaustive
 enumeration over all 2^R valuations, and a clause-by-clause DIMACS model
 enumerator.  Both are only usable for small sets but are obviously correct.
 The field automorphisms get the same treatment: a coefficient-by-coefficient
-substitution of powers of z read from the reduction table.
+substitution of powers of z read from the reduction table, and so does ray
+equality: a comparison of canonical forms, each ray scaled to a leading 1.
 """
 
 from __future__ import annotations
 
 from ksets.cyclo import _POW, DEGREE, CycNum
-from ksets.model import KSSet, orthogonality_graph
+from ksets.model import KSSet, Ray, orthogonality_graph
 from ksets.verify import Mode
 
 
@@ -31,6 +32,17 @@ def reference_conj(x: CycNum) -> CycNum:
         for j, r in enumerate(_POW[(24 - i) % 24]):
             out[j] += c * r
     return CycNum(out, x.den)
+
+
+def reference_ray_equal(u: Ray, v: Ray) -> bool:
+    """Proportional rays: equal entries once each ray is multiplied by the
+    inverse of its first nonzero entry."""
+
+    def canonical(ray: Ray) -> tuple[CycNum, ...]:
+        scale = next(e for e in ray.entries if not e.is_zero()).inv()
+        return tuple(e * scale for e in ray.entries)
+
+    return canonical(u) == canonical(v)
 
 
 def brute_force_witness(

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from conftest import basis_set, census_set
-from ksets import catalog, construct
+from ksets import catalog, construct, setfile
 from ksets.cyclo import CycNum, ONE, ZERO
 from ksets.errors import (
     BadBasisError,
@@ -184,6 +184,7 @@ def test_split_inverts_merge_counts():
 
 def test_optimize_pairing_self_identity(s21):
     best = optimize_pairing(s21, s21)
+    assert best.assignment == (0, 1, 2, 3, 4, 5, 6)
     assert count_merges(s21, s21, best) == 21
     merged = merge_rank(pz_improved(s21, s21, best))
     sym = symbol(merged)
@@ -193,6 +194,7 @@ def test_optimize_pairing_self_identity(s21):
 
 def test_optimize_pairing_18_21_achieves_nine(s18, s21):
     best = optimize_pairing(s18, s21)
+    assert best.assignment == (0, 0, 0, 1, 2, 3, 4, 5, 6)
     assert count_merges(s18, s21, best) == 9
     out = merge_rank(pz_improved(s18, s21, best))
     assert symbol(out).compact == "30-9"
@@ -530,6 +532,21 @@ def test_build_chain_runs_table_chains(s18, s21):
     assert build_chain("d6-21-7") == s21
     out = build_chain("merge_rank(matsuno(split_ranks(rank_scale(d6-21-7-basis, 2)), 13))")
     assert symbol(out).compact == "43-12"
+
+
+def test_build_chain_names_the_set_after_its_chain(s21):
+    out = build_chain("split_ranks(rank_scale(d6-21-7,\n  2))")
+    assert out.name == "split_ranks(rank_scale(d6-21-7, 2))"
+    assert setfile.serialize(out).startswith(f"# {out.name}\n")
+    assert setfile.parse(setfile.serialize(out)) == out
+    assert s21.name == "d6-21-7"
+
+
+def test_build_chain_never_renames_a_seed():
+    for chain, name in (("d8-34-9", "d8-34-9"),
+                        ("rank_scale(d4-18-9, 1)", "d4-18-9")):
+        assert build_chain(chain) is catalog.seed_set(name)
+        assert catalog.seed_set(name).name == name
 
 
 @pytest.mark.parametrize("chain", [

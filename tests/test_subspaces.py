@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_ray
-from ksets import construct, model
+from oracles import reference_ray_equal
+from ksets import catalog, construct, model
 from ksets.cyclo import OMEGA3, SQRT2, SQRT3, ZERO, CycNum, zeta
 from ksets.model import (
     KSSet,
@@ -256,9 +257,12 @@ def test_key_is_none_when_a_norm_is_not_a_unit(monkeypatch):
     monkeypatch.setattr(model, "pow", no_inverse, raising=False)
     p, q = _rebased_pair()
     assert model._subspace_key(p) is None
-    assert model._subspace_key(Projector(p.span[:1])) is not None
+    ray = Projector(p.span[:1])
+    assert model._subspace_key(ray) is None
     index = SubspaceIndex()
     assert index.add("p", p) == "p" and index.add("q", q) == "p"
+    assert index.add("r", ray) == "r"
+    assert index.add("s", Projector((_scale(ray.span[0], SQRT2),))) == "r"
 
 
 # -- span membership by Pythagoras -----------------------------------------
@@ -341,4 +345,28 @@ def _ray_pairs(draw):
 @settings(max_examples=150, deadline=None)
 def test_rank_one_projector_equal_agrees_with_ray_equal(pair):
     u, v = pair
-    assert projector_equal(Projector((u,)), Projector((v,))) == model.ray_equal(u, v)
+    same = reference_ray_equal(u, v)
+    assert model.ray_equal(u, v) == same
+    assert projector_equal(Projector((u,)), Projector((v,))) == same
+
+
+# -- one key for every rank ------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["d4-18-9", "d6-21-7", "d8-34-9"])
+def test_ray_keys_survive_unit_and_irrational_scalings(name):
+    s = catalog.seed_set(name)
+    for p in s.projectors.values():
+        key = model._subspace_key(p)
+        assert key[0] == 1
+        for c in (CycNum.from_rational(2), zeta(1), SQRT2, SQRT3, OMEGA3):
+            assert model._subspace_key(Projector((_scale(p.span[0], c),))) == key
+
+
+@pytest.mark.parametrize(
+    "name", [*catalog.NAMES, "split_ranks(rank_scale(d6-21-7, 4))"])
+def test_keys_are_distinct_within_a_set(name):
+    s = construct.build_chain(name)
+    keys = [model._subspace_key(p) for p in s.projectors.values()]
+    assert None not in keys
+    assert len(set(keys)) == len(keys)

@@ -3,6 +3,7 @@ against exhaustive enumeration, parity, criticality and the CNF export."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
 
@@ -346,3 +347,19 @@ def test_cnf_variable_order_matches_file_order(s18):
     comments = [l for l in text.splitlines() if l.startswith("c var")]
     assert comments[0] == "c var 1 = projector 1"
     assert comments[17] == "c var 18 = projector 18"
+
+
+def test_searches_leave_no_reference_cycles(s18):
+    # the first searches cache the graph and catalog data they load
+    is_critical(s18, Mode.CONTEXT_ONLY)
+    is_critical(s18)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            find_assignment(s18, Mode.CONTEXT_ONLY)
+        for _ in range(3):
+            is_critical(s18)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
