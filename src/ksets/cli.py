@@ -111,17 +111,16 @@ def _cmd_construct(args) -> int:
     if args.method == "pz":
         s1, s2 = _load_set(args.args[0]), _load_set(args.args[1])
         pairing = _parse_pairing(args.pairing) if args.pairing else None
-        out = pz_improved(s1, s2, pairing, flip=args.flip)
+        out = pz_improved(s1, s2, pairing)
     elif args.method == "pz-basic":
         s1, s2 = _load_set(args.args[0]), _load_set(args.args[1])
-        out = pz_basic(s1, s2, flip=args.flip)
+        out = pz_basic(s1, s2)
     elif args.method == "scale":
         out = rank_scale(_load_set(args.args[0]), int(args.args[1]))
     elif args.method == "ceg":
         out = ceg(_load_set(args.args[0]), int(args.args[1]))
     elif args.method == "matsuno":
-        basis = args.basis.split(",") if args.basis else None
-        out = matsuno(_load_set(args.args[0]), int(args.args[1]), basis)
+        out = matsuno(_load_set(args.args[0]), int(args.args[1]))
     else:  # pragma: no cover - argparse restricts choices
         return 2
     sys.stdout.write(serialize(out))
@@ -178,9 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("args", nargs="+",
                    help="pz/pz-basic: SET SET; scale: SET N; ceg/matsuno: SET D")
     p.add_argument("--pairing", help="comma list: small-set context per large context (1-based)")
-    p.add_argument("--basis", help="comma list of axis projector ids for matsuno")
-    p.add_argument("--flip", action="store_true",
-                   help="put the second input into the leading coordinates")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("reduce", help="greedily remove contexts to a critical core")

@@ -1,10 +1,13 @@
 """Constructions that combine or extend sets across dimensions.
 
-Implemented methods: zero-padding direct sums with context pairing, the
-rank-scaling of a whole set into block copies, the padded doubling with
-three pad projectors, coordinate-swap doubling with duplicate elimination,
-greedy reduction to a critical core, and the dimension-table recipes that
-chain them.
+Implemented methods: zero-padding direct sums with context pairing (the
+first set takes the leading coordinates), the rank-scaling of a whole set
+into block copies, the padded doubling with three pad projectors,
+coordinate-swap doubling over the set's own axis projectors with duplicate
+elimination, and the dimension-table recipes that chain them.  Each is fixed
+by its input sets and target dimension.  The greedy reduction to a critical
+core, reduce_critical, runs beside the search in verify and is re-exported
+here.
 
 Each table row writes its constructions down once, as a chain string such
 as ``split_ranks(rank_scale(d6-21-7, 2))``; build_chain runs any such string
@@ -24,7 +27,6 @@ from .errors import (
     BadDimensionError,
     ChainSyntaxError,
     InvalidPairingError,
-    NotKSError,
     NotParityError,
     NotScaledUnitaryError,
 )
@@ -36,16 +38,10 @@ from .model import (
     SubspaceIndex,
     ensure_valid,
 )
-# find_assignment stays bound here: the benchmark's tracer (perfbench/spans.py)
-# wraps it in every module that binds it, and its own tests check that.
-from .verify import (  # noqa: F401
-    Mode,
-    SearchStats,
-    _compile_uncolorable,
-    _solve,
-    find_assignment,
-    is_parity,
-)
+# find_assignment and reduce_critical stay bound here: the benchmark's tracer
+# (perfbench/spans.py) looks them up in this module and wraps them in every
+# module that binds them, and its own tests check that.
+from .verify import find_assignment, is_parity, reduce_critical  # noqa: F401
 
 
 def _pad_ray(ray: Ray, prepend: int, append: int) -> Ray:
@@ -62,43 +58,20 @@ def _axis_ray(dimension: int, coord: int) -> Ray:
     return Ray(entries)
 
 
-def embed(s: KSSet, prepend: int, append: int) -> KSSet:
-    """Pad every ray with zeros.  Contexts are carried over unchanged and no
-    longer complete, so the result is a building block that does not
-    validate until combined with an orthogonal partner."""
-    ensure_valid(s)
-    if prepend < 0 or append < 0:
-        raise BadDimensionError("padding must be nonnegative")
-    projs = {
-        pid: _pad_projector(p, prepend, append) for pid, p in s.projectors.items()
-    }
-    return KSSet(
-        s.dimension + prepend + append,
-        projs,
-        [tuple(c) for c in s.contexts],
-        name=s.name,
-    )
-
-
 def _direct_sum(
     s1: KSSet,
     s2: KSSet,
     pairs: list[tuple[Context, Context]],
-    flip: bool,
 ) -> KSSet:
     """Direct sum whose contexts join c1 of s1 with c2 of s2 for each
     (c1, c2) in pairs: s1 occupies the leading block and s2 the trailing
-    block (swapped when flip is set)."""
+    block."""
     d1, d2 = s1.dimension, s2.dimension
-    if flip:
-        pre1, post1, pre2, post2 = d2, 0, 0, d1
-    else:
-        pre1, post1, pre2, post2 = 0, d2, d1, 0
     projs: dict[str, Projector] = {}
     for pid, p in s1.projectors.items():
-        projs[f"a{pid}"] = _pad_projector(p, pre1, post1)
+        projs[f"a{pid}"] = _pad_projector(p, 0, d2)
     for pid, p in s2.projectors.items():
-        projs[f"b{pid}"] = _pad_projector(p, pre2, post2)
+        projs[f"b{pid}"] = _pad_projector(p, d1, 0)
     contexts = [
         tuple(f"a{pid}" for pid in c1) + tuple(f"b{pid}" for pid in c2)
         for c1, c2 in pairs
@@ -109,13 +82,13 @@ def _direct_sum(
     return out
 
 
-def pz_basic(s1: KSSet, s2: KSSet, flip: bool = False) -> KSSet:
+def pz_basic(s1: KSSet, s2: KSSet) -> KSSet:
     """Direct sum with every cross pair of contexts combined: B1*B2 contexts
     over R1+R2 projectors in dimension d1+d2."""
     ensure_valid(s1)
     ensure_valid(s2)
     pairs = [(c1, c2) for c1 in s1.contexts for c2 in s2.contexts]
-    return _direct_sum(s1, s2, pairs, flip)
+    return _direct_sum(s1, s2, pairs)
 
 
 @dataclass(frozen=True)
@@ -164,14 +137,10 @@ def _parity_pair(s1: KSSet, s2: KSSet) -> tuple[KSSet, KSSet]:
     return (s1, s2) if s1.n_contexts >= s2.n_contexts else (s2, s1)
 
 
-def pz_improved(
-    s1: KSSet,
-    s2: KSSet,
-    pairing: Pairing | None = None,
-    flip: bool = False,
-) -> KSSet:
+def pz_improved(s1: KSSet, s2: KSSet, pairing: Pairing | None = None) -> KSSet:
     """Direct sum of two parity sets with paired contexts: only
-    max(B1, B2) contexts survive and the result is again a parity set."""
+    max(B1, B2) contexts survive and the result is again a parity set.
+    s1 takes the leading coordinates and s2 the trailing block."""
     large, small = _parity_pair(s1, s2)
     b_large, b_small = large.n_contexts, small.n_contexts
     if pairing is None:
@@ -181,7 +150,7 @@ def pz_improved(
              for k, j in enumerate(pairing.assignment)]
     if large is not s1:
         pairs = [(c1, c2) for c2, c1 in pairs]
-    return _direct_sum(s1, s2, pairs, flip)
+    return _direct_sum(s1, s2, pairs)
 
 
 def _signatures(s: KSSet) -> dict[str, int]:
@@ -229,12 +198,13 @@ def count_merges(s1: KSSet, s2: KSSet, pairing: Pairing) -> int:
     return _merge_score(large, small)(pairing.assignment)
 
 
-def optimize_pairing(s1: KSSet, s2: KSSet, seed: int = 0) -> Pairing:
+def optimize_pairing(s1: KSSet, s2: KSSet) -> Pairing:
     """Pairing that maximizes the merged-projector count of
     merge_rank(pz_improved(s1, s2, pairing)).
 
     Exhaustive over all odd-usage pairings when the larger context count is
-    at most 9; seeded greedy hill-climbing with restarts beyond that."""
+    at most 9; greedy hill-climbing from fixed-seed random restarts beyond
+    that."""
     large, small = _parity_pair(s1, s2)
     b_large, b_small = large.n_contexts, small.n_contexts
     score = _merge_score(large, small)
@@ -266,12 +236,15 @@ def optimize_pairing(s1: KSSet, s2: KSSet, seed: int = 0) -> Pairing:
             slots[pos] = 0
 
         dfs(0, b_small)
+        # dfs reaches itself through its closure cell; emptying the cell
+        # frees the closure now instead of at the next cyclic collection.
+        del dfs
         assert best is not None, "no odd-usage pairing exists"
         return Pairing(best[1])
 
     import random
 
-    rng = random.Random(seed)
+    rng = random.Random(0)
     best_pair = default_pairing(b_large, b_small)
     best_score = score(best_pair.assignment)
     for _ in range(20):
@@ -455,11 +428,12 @@ def axis_basis_ids(s: KSSet, delta: int) -> list[str]:
     return [found[i] for i in range(delta)]
 
 
-def matsuno(s: KSSet, d_target: int, v_ids: list[str] | None = None) -> KSSet:
+def matsuno(s: KSSet, d_target: int) -> KSSet:
     """Coordinate-swap doubling.
 
-    Requires delta = d' - d projectors forming an axis basis of the leading
-    delta coordinates (after rank-1 decomposition).  The swapped copy of the
+    Requires the set's axis projectors of the leading delta = d' - d
+    coordinates (after rank-1 decomposition); validation forbids equal
+    subspaces, so each coordinate has at most one.  The swapped copy of the
     set shares every ray fixed by the swap, and each of the 2B promoted
     contexts that collapses onto another is removed, leaving a critical set
     of at most 2B-1 contexts over at most 2R-1 projectors."""
@@ -472,22 +446,7 @@ def matsuno(s: KSSet, d_target: int, v_ids: list[str] | None = None) -> KSSet:
     if any(p.rank > 1 for p in s.projectors.values()):
         s = split_ranks(s)
     delta = d_target - d
-    if v_ids is None:
-        v_ids = axis_basis_ids(s, delta)
-    else:
-        v_ids = list(v_ids)
-        coords: set[int] = set()
-        for pid in v_ids:
-            proj = s.projectors.get(pid)
-            if proj is None:
-                raise BadBasisError(f"unknown projector id {pid}")
-            if proj.rank != 1 or len(proj.span[0].support) != 1:
-                raise BadBasisError(f"projector {pid} is not an axis ray")
-            coords.add(next(iter(proj.span[0].support)))
-        if len(v_ids) != delta or coords != set(range(delta)):
-            raise BadBasisError(
-                f"need exactly one axis projector per coordinate 0..{delta - 1}"
-            )
+    v_ids = axis_basis_ids(s, delta)
 
     def swap(ray: Ray) -> Ray:
         entries = list(ray.entries)
@@ -559,39 +518,6 @@ def apply_transform(s: KSSet, matrix: list[list[CycNum]]) -> KSSet:
     out = KSSet(d, projs, [tuple(c) for c in s.contexts], name=s.name)
     ensure_valid(out)
     return out
-
-
-def reduce_critical(
-    s: KSSet, mode: Mode = Mode.FULL, stats: SearchStats | None = None
-) -> KSSet:
-    """Greedily remove contexts whose removal keeps the set uncolorable,
-    in one scan in ascending context order; the remainder is critical.
-    The counts of every search are added to stats when it is given.
-
-    One scan suffices: a context c is kept when active - c has a coloring,
-    and that coloring, restricted to the projectors still allowed, colors
-    every subset of active - c.  Later removals only shrink active, so c
-    stays necessary and a second scan would remove nothing.
-
-    The core is not validated again: its contexts are a subset of the
-    validated input's contexts and its projectors are exactly those they
-    use, and every check of validation holds on such a subset."""
-    problem, orth, allowed = _compile_uncolorable(
-        s, mode, stats, "nothing to reduce")
-    ctx_masks = problem.ctx_masks
-    active = (1 << len(ctx_masks)) - 1  # bit ci: context ci is kept so far
-    for ci in range(len(ctx_masks)):
-        trial = active & ~(1 << ci)
-        trial_orth, trial_allowed = problem.drop_context(ci, trial, orth, allowed)
-        masks = [m for c, m in enumerate(ctx_masks) if trial >> c & 1]
-        if _solve(masks, trial_orth, trial_allowed, stats) is None:
-            active, orth, allowed = trial, trial_orth, trial_allowed
-    contexts = [
-        tuple(ctx) for ci, ctx in enumerate(s.contexts) if active >> ci & 1
-    ]
-    used = {pid for ctx in contexts for pid in ctx}
-    projs = {pid: p for pid, p in s.projectors.items() if pid in used}
-    return KSSet(s.dimension, projs, contexts, name=s.name)
 
 
 # The functions a chain may call and the kinds of their arguments.

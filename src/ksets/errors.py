@@ -54,8 +54,8 @@ class BadDimensionError(KSError):
 
 
 class BadBasisError(KSError):
-    """The designated projectors do not form an axis basis of the leading
-    coordinates."""
+    """A set has no axis projector for one of the leading coordinates that
+    the coordinate-swap doubling exchanges."""
 
 
 class NotScaledUnitaryError(KSError):

@@ -19,9 +19,8 @@ from .errors import (
     ScalarSyntaxError,
     SetSyntaxError,
     UnknownReferenceError,
-    ValidationError,
 )
-from .model import KSSet, Projector, Ray, validate
+from .model import KSSet, Projector, Ray, ensure_valid
 
 
 def parse(text: str, name: str | None = None) -> KSSet:
@@ -133,9 +132,7 @@ def parse(text: str, name: str | None = None) -> KSSet:
         contexts.append(tuple(resolved))
 
     s = KSSet(dimension, projectors, contexts, name=name)
-    report = validate(s)
-    if not report.ok:
-        raise ValidationError(report)
+    ensure_valid(s)
     return s
 
 

@@ -1,4 +1,5 @@
-"""Colorability, the KS property, parity, and criticality.
+"""Colorability, the KS property, parity, criticality, and the greedy
+reduction to a critical core.
 
 A valuation assigns 0/1 to every projector so that each complete context
 contains exactly one 1 and (in full mode) no two orthogonal projectors are
@@ -9,7 +10,7 @@ unit propagation, so absence of a witness is a proof of uncolorability.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -70,29 +71,17 @@ class SearchStats:
 
 @dataclass
 class _Problem:
+    """A set compiled for the search, and the start state of every search
+    on it: orth, the at-most-one masks of all contexts (bitmasks in ids
+    order), and allowed, the projectors that occur in some context."""
+
     ids: list[str]
     index: dict[str, int]
     ctx_masks: list[int]
     mode: Mode
-    full_orth: tuple[int, ...] | None  # bitmasks in ids order
     occurrences: list[list[int]]  # per projector, the contexts holding it
-
-    def orth_for(self, active: Iterable[int]) -> Sequence[int]:
-        """At-most-one masks valid for the given active contexts.  Full-mode
-        masks are geometric and context-independent; context-mode masks come
-        only from co-membership in an active context."""
-        if self.mode is Mode.FULL:
-            assert self.full_orth is not None
-            return self.full_orth
-        orth = [0] * len(self.ids)
-        for ci in active:
-            cm = self.ctx_masks[ci]
-            rest = cm
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                orth[bit.bit_length() - 1] |= cm & ~bit
-        return orth
+    orth: Sequence[int]
+    allowed: int
 
     def drop_context(
         self, c: int, rest: int, orth: Sequence[int], allowed: int
@@ -122,6 +111,23 @@ class _Problem:
                 orth[v] = row & ~bit
         return orth, allowed
 
+    def solve_without(
+        self,
+        c: int,
+        active: int,
+        orth: Sequence[int],
+        allowed: int,
+        stats: SearchStats | None,
+    ) -> tuple[int | None, Sequence[int], int]:
+        """Search the active contexts (a bitmask) without context c.
+
+        orth and allowed belong to active.  Returns the search's result
+        with the at-most-one masks and allowed projectors of active - c."""
+        rest = active & ~(1 << c)
+        orth, allowed = self.drop_context(c, rest, orth, allowed)
+        masks = [m for ci, m in enumerate(self.ctx_masks) if rest >> ci & 1]
+        return _solve(masks, orth, allowed, stats), orth, allowed
+
 
 def _compile(s: KSSet, mode: Mode) -> _Problem:
     ensure_valid(s)
@@ -129,17 +135,27 @@ def _compile(s: KSSet, mode: Mode) -> _Problem:
     index = {pid: i for i, pid in enumerate(ids)}
     ctx_masks = []
     occurrences: list[list[int]] = [[] for _ in ids]
+    allowed = 0
     for ci, ctx in enumerate(s.contexts):
         m = 0
         for pid in ctx:
             m |= 1 << index[pid]
             occurrences[index[pid]].append(ci)
         ctx_masks.append(m)
-    full_orth = None
+        allowed |= m
     if mode is Mode.FULL:
         # Called through this module's binding, which tracers wrap.
-        full_orth = orthogonality_graph(s).masks
-    return _Problem(ids, index, ctx_masks, mode, full_orth, occurrences)
+        orth: Sequence[int] = orthogonality_graph(s).masks
+    else:
+        # Only projectors that share a context exclude each other.
+        orth = [0] * len(ids)
+        for cm in ctx_masks:
+            rest = cm
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                orth[bit.bit_length() - 1] |= cm & ~bit
+    return _Problem(ids, index, ctx_masks, mode, occurrences, orth, allowed)
 
 
 def _solve(
@@ -239,18 +255,13 @@ def _solve(
 
 def _compile_uncolorable(
     s: KSSet, mode: Mode, stats: SearchStats | None, why: str
-) -> tuple[_Problem, Sequence[int], int]:
-    """Compile s and prove it uncolorable, else raise NotKSError(why).
-    Returns the problem with the at-most-one masks and the allowed
-    projectors of all its contexts, the start of every removal."""
+) -> _Problem:
+    """Compile s and prove it uncolorable, else raise NotKSError(why)."""
     problem = _compile(s, mode)
-    orth = problem.orth_for(range(len(problem.ctx_masks)))
-    allowed = 0
-    for m in problem.ctx_masks:
-        allowed |= m
-    if _solve(problem.ctx_masks, orth, allowed, stats) is not None:
+    mask = _solve(problem.ctx_masks, problem.orth, problem.allowed, stats)
+    if mask is not None:
         raise NotKSError(f"set is colorable; {why}")
-    return problem, orth, allowed
+    return problem
 
 
 def _check(s: KSSet, asg: Assignment, mode: Mode) -> bool:
@@ -284,8 +295,7 @@ def find_assignment(
     """A valid 0/1 assignment for the given mode, or None when none exists.
     The counts of the search are added to stats when it is given."""
     problem = _compile(s, mode)
-    orth = problem.orth_for(range(len(problem.ctx_masks)))
-    mask = _solve(problem.ctx_masks, orth, (1 << len(problem.ids)) - 1, stats)
+    mask = _solve(problem.ctx_masks, problem.orth, problem.allowed, stats)
     if mask is None:
         return None
     values = {pid: 1 if mask >> i & 1 else 0 for i, pid in enumerate(problem.ids)}
@@ -330,27 +340,54 @@ def is_critical(s: KSSet, mode: Mode = Mode.FULL) -> CriticalityReport:
     """Remove each context in turn, restrict to the projectors still used,
     and search for a witness; overall-critical iff every removal has one."""
     stats = SearchStats()
-    problem, orth, allowed = _compile_uncolorable(
-        s, mode, stats, "criticality undefined")
-    ctx_masks = problem.ctx_masks
-    every = (1 << len(ctx_masks)) - 1
+    problem = _compile_uncolorable(s, mode, stats, "criticality undefined")
+    every = (1 << len(problem.ctx_masks)) - 1
     removals: list[Assignment | None] = []
-    for removed in range(len(ctx_masks)):
-        rest = every & ~(1 << removed)
-        trial_orth, trial_allowed = problem.drop_context(
-            removed, rest, orth, allowed)
-        masks = [m for ci, m in enumerate(ctx_masks) if ci != removed]
-        mask = _solve(masks, trial_orth, trial_allowed, stats)
+    for removed in range(len(problem.ctx_masks)):
+        mask, _, allowed = problem.solve_without(
+            removed, every, problem.orth, problem.allowed, stats)
         if mask is None:
             removals.append(None)
             continue
         values = {
             problem.ids[i]: 1 if mask >> i & 1 else 0
             for i in range(len(problem.ids))
-            if trial_allowed >> i & 1
+            if allowed >> i & 1
         }
         removals.append(Assignment(values))
     return CriticalityReport(mode, removals, stats)
+
+
+def reduce_critical(
+    s: KSSet, mode: Mode = Mode.FULL, stats: SearchStats | None = None
+) -> KSSet:
+    """Greedily remove contexts whose removal keeps the set uncolorable,
+    in one scan in ascending context order; the remainder is critical.
+    The counts of every search are added to stats when it is given.
+
+    One scan suffices: a context c is kept when active - c has a coloring,
+    and that coloring, restricted to the projectors still allowed, colors
+    every subset of active - c.  Later removals only shrink active, so c
+    stays necessary and a second scan would remove nothing.
+
+    The core is not validated again: its contexts are a subset of the
+    validated input's contexts and its projectors are exactly those they
+    use, and every check of validation holds on such a subset."""
+    problem = _compile_uncolorable(s, mode, stats, "nothing to reduce")
+    active = (1 << len(problem.ctx_masks)) - 1  # bit ci: context ci is kept
+    orth, allowed = problem.orth, problem.allowed
+    for c in range(len(problem.ctx_masks)):
+        mask, trial_orth, trial_allowed = problem.solve_without(
+            c, active, orth, allowed, stats)
+        if mask is None:
+            active &= ~(1 << c)
+            orth, allowed = trial_orth, trial_allowed
+    contexts = [
+        tuple(ctx) for ci, ctx in enumerate(s.contexts) if active >> ci & 1
+    ]
+    used = {pid for ctx in contexts for pid in ctx}
+    projs = {pid: p for pid, p in s.projectors.items() if pid in used}
+    return KSSet(s.dimension, projs, contexts, name=s.name)
 
 
 def export_cnf(s: KSSet, mode: Mode = Mode.FULL) -> str:
@@ -363,7 +400,7 @@ def export_cnf(s: KSSet, mode: Mode = Mode.FULL) -> str:
     problem = _compile(s, mode)
     n = len(problem.ids)
     pairs = []
-    for i, m in enumerate(problem.orth_for(range(len(s.contexts)))):
+    for i, m in enumerate(problem.orth):
         later = m >> (i + 1)
         while later:
             bit = later & -later

@@ -10,6 +10,8 @@ equality: a comparison of canonical forms, each ray scaled to a leading 1.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from ksets.cyclo import _POW, DEGREE, CycNum
 from ksets.model import KSSet, Ray, orthogonality_graph
 from ksets.verify import Mode
@@ -43,6 +45,29 @@ def reference_ray_equal(u: Ray, v: Ray) -> bool:
         return tuple(e * scale for e in ray.entries)
 
     return canonical(u) == canonical(v)
+
+
+def reference_orth(s: KSSet, mode: Mode, active: Iterable[int]) -> list[int]:
+    """At-most-one masks once only the contexts with indices in active
+    remain: bit j of entry i is set when projectors i and j (in file order)
+    may not both be 1.  That is every orthogonal pair in full mode, and
+    every pair sharing an active context in context mode."""
+    ids = list(s.projectors)
+    orth = [0] * len(ids)
+    if mode is Mode.FULL:
+        graph = orthogonality_graph(s)
+        for i, p in enumerate(ids):
+            for j, q in enumerate(ids):
+                if q in graph[p]:
+                    orth[i] |= 1 << j
+        return orth
+    index = {pid: i for i, pid in enumerate(ids)}
+    for ci in active:
+        for p in s.contexts[ci]:
+            for q in s.contexts[ci]:
+                if p != q:
+                    orth[index[p]] |= 1 << index[q]
+    return orth
 
 
 def brute_force_witness(

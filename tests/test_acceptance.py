@@ -169,7 +169,7 @@ def test_criterion_5_paired_sum_reproduction():
 
 def test_criterion_6_swap_reproduction():
     failures = []
-    m5 = matsuno(catalog.seed_set("d4-18-9"), 5, ["1"])
+    m5 = matsuno(catalog.seed_set("d4-18-9"), 5)
     if (m5.n_projectors, m5.n_contexts) != (29, 16):
         failures.append(f"d'=5 counts {m5.n_projectors}/{m5.n_contexts}")
     if not is_ks(m5):
@@ -177,10 +177,10 @@ def test_criterion_6_swap_reproduction():
     elif not is_critical(m5).overall:
         failures.append("d'=5 not critical")
     basis = catalog.seed_set("d6-21-7-basis")
-    m7 = matsuno(basis, 7, ["1"])
+    m7 = matsuno(basis, 7)
     if (m7.n_projectors, m7.n_contexts) != (32, 12):
         failures.append(f"d'=7 counts {m7.n_projectors}/{m7.n_contexts}")
-    m9 = matsuno(basis, 9, ["1", "2", "3"])
+    m9 = matsuno(basis, 9)
     if (m9.n_projectors, m9.n_contexts) != (39, 13):
         failures.append(f"d'=9 counts {m9.n_projectors}/{m9.n_contexts}")
     report(6, not failures,

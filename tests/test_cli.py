@@ -183,8 +183,7 @@ def test_construct_pz_rejects_bad_pairing(capsys):
 
 
 def test_construct_matsuno(capsys):
-    code, out, _ = run(capsys, "construct", "matsuno", "d4-18-9", "5",
-                       "--basis", "1")
+    code, out, _ = run(capsys, "construct", "matsuno", "d4-18-9", "5")
     assert code == 0
     s = parse(out)
     assert (s.n_projectors, s.n_contexts) == (29, 16)

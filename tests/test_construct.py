@@ -3,6 +3,7 @@ padded and swapped extensions, greedy reduction, and the dimension table."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
 
@@ -29,7 +30,6 @@ from ksets.construct import (
     ceg,
     count_merges,
     default_pairing,
-    embed,
     matsuno,
     merge_rank,
     optimize_pairing,
@@ -48,31 +48,6 @@ from ksets.verify import (
     is_ks,
     is_parity,
 )
-
-
-# -- embedding ------------------------------------------------------
-
-
-def test_embed_pads_rays(s21):
-    out = embed(s21, 0, 4)
-    assert out.dimension == 10
-    for proj in out.projectors.values():
-        assert all(e.is_zero() for e in proj.span[0].entries[6:])
-
-
-def test_embed_preserves_inner_products(s18):
-    out = embed(s18, 2, 1)
-    for pid in ("4", "7"):
-        u = s18.projectors[pid].span[0]
-        v = s18.projectors["13"].span[0]
-        eu = out.projectors[pid].span[0]
-        ev = out.projectors["13"].span[0]
-        assert inner(u, v) == inner(eu, ev)
-
-
-def test_embed_output_is_incomplete(s18):
-    out = embed(s18, 0, 2)
-    assert not validate(out).ok
 
 
 # -- basic direct sum ------------------------------------------------
@@ -133,9 +108,9 @@ def test_pz_improved_default_equals_fixture(s18, s21):
 
 
 def test_pz_improved_flip_mirrors_blocks(s18, s21):
-    out = pz_improved(s18, s21, flip=True)
-    # the 21-ray block now occupies the leading six coordinates
-    ray = out.projectors["b1"].span[0]
+    out = pz_improved(s21, s18)
+    # the first set, the 21-ray block, occupies the leading six coordinates
+    ray = out.projectors["a1"].span[0]
     assert not ray.entries[0].is_zero()
     assert all(ray.entries[i].is_zero() for i in range(6, 10))
     assert symbol(out).detailed == "6^1_4 33^1_2 - 9^10_10"
@@ -211,6 +186,20 @@ def test_optimize_pairing_greedy_beyond_nine(s18, s21):
     assert count_merges(s21, big, best) >= count_merges(
         s21, big, default_pairing(63, 7)
     )
+
+
+def test_optimize_pairing_leaves_no_garbage(s21):
+    # the exhaustive search must not leave a reference cycle for the
+    # cyclic collector to free
+    optimize_pairing(s21, s21)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            optimize_pairing(s21, s21)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_count_merges_skips_projectors_in_no_context(s18, s21):
@@ -300,7 +289,7 @@ def test_ceg_rejects_bad_dimension(s18):
 
 
 def test_matsuno_18_9(s18):
-    out = matsuno(s18, 5, ["1"])
+    out = matsuno(s18, 5)
     assert out.n_projectors == 29
     assert out.n_contexts == 16
     assert is_ks(out)
@@ -315,20 +304,33 @@ def test_matsuno_duplicate_counts(s18):
         if proj.span[0].entries[0].is_zero()
     ]
     assert len(fixed) == 7
-    out = matsuno(s18, 5, ["1"])
+    out = matsuno(s18, 5)
     assert out.n_projectors == 2 * 18 - 7
 
 
 def test_matsuno_basis_21_7(basis21):
-    out7 = matsuno(basis21, 7, ["1"])
+    out7 = matsuno(basis21, 7)
     assert (out7.n_projectors, out7.n_contexts) == (32, 12)
-    out9 = matsuno(basis21, 9, ["1", "2", "3"])
+    out9 = matsuno(basis21, 9)
     assert (out9.n_projectors, out9.n_contexts) == (39, 13)
     assert is_ks(out7) and is_ks(out9)
 
 
-def test_matsuno_auto_basis(basis21):
-    assert matsuno(basis21, 9) == matsuno(basis21, 9, ["1", "2", "3"])
+def test_matsuno_auto_basis(s18, basis21):
+    # digests of the sets built from the axis projectors named explicitly
+    # ("1"; "1"; "1", "2", "3"); the set's own axis projectors are the only
+    # ones there are, so they build the same sets
+    pinned = (
+        (s18, 5,
+         "015bc54565ab60448f3817163c9cc71981440951cfa4cdac96f443606d2208b0"),
+        (basis21, 7,
+         "4d53d15c30daad67b81b2f723fc6e413fcd8be0bd91435f5021ce85d838aa0e0"),
+        (basis21, 9,
+         "9e5087a154b97dfcdc845542fd2ef346f22afb3fd9878ca4287fdc4404bade07"),
+    )
+    for s, d, digest in pinned:
+        text = setfile.serialize(matsuno(s, d))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_matsuno_at_least_one_duplicate(s18, basis21):
@@ -346,7 +348,7 @@ def test_matsuno_rejects_non_axis_basis(s21):
 
 def test_matsuno_rejects_bad_dimension(s18):
     with pytest.raises(BadDimensionError):
-        matsuno(s18, 8, ["1"])
+        matsuno(s18, 8)
 
 
 # -- scaled unitaries ------------------------------------------------

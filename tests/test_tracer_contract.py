@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from ksets import catalog, model, verify
+from ksets import catalog, cli, construct, model, verify
 from ksets.cyclo import OMEGA3, SQRT2, ZERO, CycNum
 from ksets.setfile import parse, serialize
 
@@ -57,6 +57,19 @@ def test_is_ks_reaches_the_graph_through_the_module_binding(monkeypatch):
     # compiling the search and re-checking the witness each read the graph
     assert verify.find_assignment(s) is not None
     assert calls[0] == 4
+
+
+def test_reduce_critical_is_traced_through_every_binding(monkeypatch, capsys):
+    # the benchmark traces reduce_critical under its construct name; the
+    # function lives in verify, and construct and the CLI call that binding
+    assert construct.reduce_critical is verify.reduce_critical
+    calls = _count_calls(monkeypatch, verify, "reduce_critical")
+    s = catalog.seed_set("d4-18-9")
+    assert construct.reduce_critical(s) == s
+    assert calls[0] == 1
+    assert cli.main(["reduce", "d10-39-9"]) == 0
+    assert calls[0] == 2
+    assert parse(capsys.readouterr().out).n_contexts == 9
 
 
 def _pairs_reaching_inner(s: model.KSSet) -> int:

@@ -28,7 +28,7 @@ from ksets.verify import (
     is_ks,
     is_parity,
 )
-from oracles import brute_force_witness, naive_cnf_satisfiable
+from oracles import brute_force_witness, naive_cnf_satisfiable, reference_orth
 
 
 def drop_context(s: KSSet, index: int) -> KSSet:
@@ -199,8 +199,7 @@ def test_search_agrees_with_brute_force_on_census_subsets(s, mode, data):
     removed = data.draw(st.none() | st.integers(0, s.n_contexts - 1))
     problem = _compile(s, mode)
     masks = problem.ctx_masks
-    orth = problem.orth_for(range(len(masks)))
-    allowed = _union(masks)
+    orth, allowed = problem.orth, problem.allowed
     sub = s
     if removed is not None:
         rest = _union(1 << ci for ci in range(len(masks)) if ci != removed)
@@ -224,17 +223,19 @@ def test_drop_context_matches_rebuilt_masks(name, mode):
     n = len(problem.ctx_masks)
 
     def expect(active):
-        return problem.orth_for(sorted(active)), _union(
+        return reference_orth(s, mode, active), _union(
             problem.ctx_masks[ci] for ci in active)
 
     def bits(active):
         return _union(1 << ci for ci in active)
 
     every = set(range(n))
-    orth, allowed = expect(every)
+    orth, allowed = problem.orth, problem.allowed
+    assert (list(orth), allowed) == expect(every)
     for c in range(n):
-        got = problem.drop_context(c, bits(every - {c}), orth, allowed)
-        assert got == expect(every - {c})
+        got_orth, got_allowed = problem.drop_context(
+            c, bits(every - {c}), orth, allowed)
+        assert (list(got_orth), got_allowed) == expect(every - {c})
     # dropping along a chain, as reduce_critical does
     order = list(range(n))
     random.Random(n).shuffle(order)
@@ -242,7 +243,7 @@ def test_drop_context_matches_rebuilt_masks(name, mode):
     for c in order[:-1]:
         active.discard(c)
         orth, allowed = problem.drop_context(c, bits(active), orth, allowed)
-        assert (orth, allowed) == expect(active)
+        assert (list(orth), allowed) == expect(active)
 
 
 def test_criticality_removals_are_pinned():
@@ -298,6 +299,26 @@ def test_search_counts_are_pinned(name, mode):
     nodes, props, conflicts, depth = SEARCH_COUNTS[name, mode]
     assert _counts(stats) == (2 * nodes, 2 * props, 2 * conflicts, depth)
     assert _counts(is_critical(s, mode).stats) == CRITICAL_COUNTS[name, mode]
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_projector_in_no_context_stays_zero(s18, mode):
+    # a projector that occurs in no context is not allowed from the start:
+    # it is valued 0, the search runs exactly as without it, and removal
+    # witnesses leave it out like every other projector no context uses
+    for s in (s18, drop_context(s18, 0)):
+        projs = dict(s.projectors)
+        projs["19"] = Projector((make_ray(1, 2, 3, 4),))
+        extended = KSSet(4, projs, list(s.contexts))
+        stats, extended_stats = SearchStats(), SearchStats()
+        witness = find_assignment(s, mode, stats)
+        got = find_assignment(extended, mode, extended_stats)
+        assert extended_stats == stats
+        if witness is None:
+            assert got is None
+            assert is_critical(extended, mode) == is_critical(s, mode)
+        else:
+            assert got.values == {**witness.values, "19": 0}
 
 
 def test_cnf_shape_18_9(s18):
