@@ -13,7 +13,6 @@ from pathlib import Path
 
 from . import catalog
 from .construct import (
-    Pairing,
     ceg,
     matsuno,
     pz_basic,
@@ -39,6 +38,8 @@ def _load_set(ref: str) -> KSSet:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise SetSyntaxError(f"{ref!r} is not UTF-8 text: {exc.reason}") from None
+    except OSError as exc:  # a directory, an unreadable file
+        raise KSError(f"cannot read {ref!r}: {exc.strerror}") from None
     return parse(text, name=path.stem)
 
 
@@ -103,8 +104,8 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
-def _parse_pairing(text: str) -> Pairing:
-    return Pairing(tuple(int(tok) - 1 for tok in text.split(",")))
+def _parse_pairing(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) - 1 for tok in text.split(","))
 
 
 def _cmd_construct(args) -> int:

@@ -91,35 +91,30 @@ def pz_basic(s1: KSSet, s2: KSSet) -> KSSet:
     return _direct_sum(s1, s2, pairs)
 
 
-@dataclass(frozen=True)
-class Pairing:
-    """Map from each context index of the larger-B set to a context index of
-    the smaller-B set.  Every small context must be used an odd number of
-    times, so multiplicities grow only in even increments and parity is
-    preserved."""
+# A pairing maps each context index k of the set with more contexts (the
+# larger-B set) to the index pairing[k] of a context of the other set.  Every
+# small context must be used an odd number of times, so multiplicities grow
+# only in even increments and parity is preserved.
 
-    assignment: tuple[int, ...]
-
-    def usage_counts(self, n_small: int) -> list[int]:
-        counts = [0] * n_small
-        for j in self.assignment:
-            counts[j] += 1
-        return counts
+# The most contexts optimize_pairing, which tries every pairing, takes in the
+# larger set.
+_PAIRING_SEARCH_LIMIT = 9
 
 
-def default_pairing(b_large: int, b_small: int) -> Pairing:
+def default_pairing(b_large: int, b_small: int) -> tuple[int, ...]:
     """Index-aligned pairing; the first small context absorbs all extras."""
-    return Pairing(tuple(i if i < b_small else 0 for i in range(b_large)))
+    return tuple(i if i < b_small else 0 for i in range(b_large))
 
 
-def _check_pairing(p: Pairing, b_large: int, b_small: int) -> None:
-    if len(p.assignment) != b_large:
+def _check_pairing(pairing: tuple[int, ...], b_large: int, b_small: int) -> None:
+    if len(pairing) != b_large:
         raise InvalidPairingError(
-            f"pairing covers {len(p.assignment)} contexts, expected {b_large}"
+            f"pairing covers {len(pairing)} contexts, expected {b_large}"
         )
-    if any(j < 0 or j >= b_small for j in p.assignment):
+    if any(j < 0 or j >= b_small for j in pairing):
         raise InvalidPairingError("pairing references a context out of range")
-    for j, count in enumerate(p.usage_counts(b_small)):
+    for j in range(b_small):
+        count = pairing.count(j)
         if count % 2 == 0:
             raise InvalidPairingError(
                 f"small context {j} used {count} times; every usage count "
@@ -137,7 +132,9 @@ def _parity_pair(s1: KSSet, s2: KSSet) -> tuple[KSSet, KSSet]:
     return (s1, s2) if s1.n_contexts >= s2.n_contexts else (s2, s1)
 
 
-def pz_improved(s1: KSSet, s2: KSSet, pairing: Pairing | None = None) -> KSSet:
+def pz_improved(
+    s1: KSSet, s2: KSSet, pairing: tuple[int, ...] | None = None
+) -> KSSet:
     """Direct sum of two parity sets with paired contexts: only
     max(B1, B2) contexts survive and the result is again a parity set.
     s1 takes the leading coordinates and s2 the trailing block."""
@@ -147,38 +144,30 @@ def pz_improved(s1: KSSet, s2: KSSet, pairing: Pairing | None = None) -> KSSet:
         pairing = default_pairing(b_large, b_small)
     _check_pairing(pairing, b_large, b_small)
     pairs = [(large.contexts[k], small.contexts[j])
-             for k, j in enumerate(pairing.assignment)]
+             for k, j in enumerate(pairing)]
     if large is not s1:
         pairs = [(c1, c2) for c2, c1 in pairs]
     return _direct_sum(s1, s2, pairs)
 
 
-def _signatures(s: KSSet) -> dict[str, int]:
-    """Bitmask of the contexts each projector occurs in (bit ci for context
-    ci), for every projector that occurs in some context."""
-    sig = dict.fromkeys(s.projectors, 0)
-    for ci, ctx in enumerate(s.contexts):
-        for pid in ctx:
-            sig[pid] |= 1 << ci
-    return {pid: mask for pid, mask in sig.items() if mask}
-
-
 def _merge_score(large: KSSet, small: KSSet) -> Callable[[Sequence[int]], int]:
-    """Score of a pairing's assignment: the number of projectors merge_rank
+    """Score of a pairing: the number of projectors merge_rank
     removes from pz_improved(large, small, pairing), from context membership
     alone.  A small projector then occurs in every large context paired
-    with one of its own, and one projector survives per distinct signature."""
-    large_sigs, small_sigs = _signatures(large), _signatures(small)
+    with one of its own, and one projector survives per distinct signature.
+    Projectors in no context (signature 0) are never merged."""
+    large_sigs = [sig for sig in large.signatures().values() if sig]
+    small_sigs = [sig for sig in small.signatures().values() if sig]
     total = len(large_sigs) + len(small_sigs)
-    large_groups = set(large_sigs.values())
+    large_groups = set(large_sigs)
     small_groups = [
         [j for j in range(small.n_contexts) if mask >> j & 1]
-        for mask in set(small_sigs.values())
+        for mask in set(small_sigs)
     ]
 
-    def score(assignment: Sequence[int]) -> int:
+    def score(pairing: Sequence[int]) -> int:
         p_inv = [0] * small.n_contexts
-        for k, j in enumerate(assignment):
+        for k, j in enumerate(pairing):
             p_inv[j] |= 1 << k
         groups = set(large_groups)
         for sig in small_groups:
@@ -191,90 +180,61 @@ def _merge_score(large: KSSet, small: KSSet) -> Callable[[Sequence[int]], int]:
     return score
 
 
-def count_merges(s1: KSSet, s2: KSSet, pairing: Pairing) -> int:
+def count_merges(s1: KSSet, s2: KSSet, pairing: tuple[int, ...]) -> int:
     """Number of projectors eliminated by merge_rank after pz_improved with
-    the given pairing, computed from context membership alone."""
-    large, small = (s1, s2) if s1.n_contexts >= s2.n_contexts else (s2, s1)
-    return _merge_score(large, small)(pairing.assignment)
+    the given pairing, computed from context membership alone.  The inputs
+    and the pairing are checked as pz_improved checks them."""
+    large, small = _parity_pair(s1, s2)
+    _check_pairing(pairing, large.n_contexts, small.n_contexts)
+    return _merge_score(large, small)(pairing)
 
 
-def optimize_pairing(s1: KSSet, s2: KSSet) -> Pairing:
+def optimize_pairing(s1: KSSet, s2: KSSet) -> tuple[int, ...]:
     """Pairing that maximizes the merged-projector count of
-    merge_rank(pz_improved(s1, s2, pairing)).
+    merge_rank(pz_improved(s1, s2, pairing)), the first in lexicographic
+    order among equals.
 
-    Exhaustive over all odd-usage pairings when the larger context count is
-    at most 9; greedy hill-climbing from fixed-seed random restarts beyond
-    that."""
+    The search tries every odd-usage pairing, so it is exact; it raises
+    InvalidPairingError when the larger set has more than 9 contexts."""
     large, small = _parity_pair(s1, s2)
     b_large, b_small = large.n_contexts, small.n_contexts
+    if b_large > _PAIRING_SEARCH_LIMIT:
+        raise InvalidPairingError(
+            f"optimize_pairing searches every pairing and takes at most "
+            f"{_PAIRING_SEARCH_LIMIT} contexts in the larger set, got {b_large}"
+        )
     score = _merge_score(large, small)
+    best: tuple[int, tuple[int, ...]] | None = None
+    counts = [0] * b_small
+    slots = [0] * b_large
 
-    if b_large <= 9:
-        best: tuple[int, tuple[int, ...]] | None = None
-        counts = [0] * b_small
-        slots = [0] * b_large
+    def dfs(pos: int, even: int) -> None:
+        """Fill slots[pos:], with even the number of small contexts used an
+        even number of times so far (zero included).  Each of them needs one
+        more use among the slots left, and the slots beyond those must come
+        in pairs."""
+        nonlocal best
+        if pos == b_large:
+            got = score(tuple(slots))
+            if best is None or got > best[0]:
+                best = (got, tuple(slots))
+            return
+        remaining = b_large - pos - 1
+        for j in range(b_small):
+            counts[j] += 1
+            slots[pos] = j
+            needed = even - 1 if counts[j] % 2 else even + 1
+            if needed <= remaining and (remaining - needed) % 2 == 0:
+                dfs(pos + 1, needed)
+            counts[j] -= 1
+        slots[pos] = 0
 
-        def dfs(pos: int, even: int) -> None:
-            """Fill slots[pos:], with even the number of small contexts
-            used an even number of times so far (zero included).  Each of
-            them needs one more use among the slots left, and the slots
-            beyond those must come in pairs."""
-            nonlocal best
-            if pos == b_large:
-                got = score(tuple(slots))
-                if best is None or got > best[0]:
-                    best = (got, tuple(slots))
-                return
-            remaining = b_large - pos - 1
-            for j in range(b_small):
-                counts[j] += 1
-                slots[pos] = j
-                needed = even - 1 if counts[j] % 2 else even + 1
-                if needed <= remaining and (remaining - needed) % 2 == 0:
-                    dfs(pos + 1, needed)
-                counts[j] -= 1
-            slots[pos] = 0
-
-        dfs(0, b_small)
-        # dfs reaches itself through its closure cell; emptying the cell
-        # frees the closure now instead of at the next cyclic collection.
-        del dfs
-        assert best is not None, "no odd-usage pairing exists"
-        return Pairing(best[1])
-
-    import random
-
-    rng = random.Random(0)
-    best_pair = default_pairing(b_large, b_small)
-    best_score = score(best_pair.assignment)
-    for _ in range(20):
-        assignment = list(range(b_small))
-        extras = b_large - b_small
-        pool = [rng.randrange(b_small) for _ in range(extras // 2)]
-        assignment += [j for j in pool for _ in (0, 1)]
-        rng.shuffle(assignment)
-        improved = True
-        while improved:
-            improved = False
-            current = score(tuple(assignment))
-            for i in range(b_large):
-                for j in range(i + 1, b_large):
-                    if assignment[i] == assignment[j]:
-                        continue
-                    assignment[i], assignment[j] = assignment[j], assignment[i]
-                    got = score(tuple(assignment))
-                    if got > current:
-                        current = got
-                        improved = True
-                    else:
-                        assignment[i], assignment[j] = (
-                            assignment[j],
-                            assignment[i],
-                        )
-            if current > best_score:
-                best_score = current
-                best_pair = Pairing(tuple(assignment))
-    return best_pair
+    dfs(0, b_small)
+    # dfs reaches itself through its closure cell; emptying the cell frees
+    # the closure now instead of at the next cyclic collection.
+    del dfs
+    assert best is not None, "no odd-usage pairing exists"
+    return best[1]
 
 
 def merge_rank(s: KSSet) -> KSSet:
@@ -283,8 +243,9 @@ def merge_rank(s: KSSet) -> KSSet:
     Grouping by the full context signature reaches the fixpoint in one pass."""
     ensure_valid(s)
     groups: dict[int, list[str]] = {}
-    for pid, sig in _signatures(s).items():
-        groups.setdefault(sig, []).append(pid)
+    for pid, sig in s.signatures().items():
+        if sig:  # a projector in no context is left as it is
+            groups.setdefault(sig, []).append(pid)
     rename: dict[str, str] = {}
     merged: dict[str, Projector] = {}
     for members in groups.values():

@@ -118,12 +118,16 @@ class KSSet:
     def n_contexts(self) -> int:
         return len(self.contexts)
 
-    def multiplicities(self) -> dict[str, int]:
-        counts = {pid: 0 for pid in self.projectors}
-        for ctx in self.contexts:
+    def signatures(self) -> dict[str, int]:
+        """For every projector, the bitmask of the contexts that hold it (bit
+        ci for context ci), 0 for a projector in no context.  In a valid set
+        no context repeats a member, so bit_count() is the multiplicity."""
+        sigs = dict.fromkeys(self.projectors, 0)
+        for ci, ctx in enumerate(self.contexts):
+            bit = 1 << ci
             for pid in ctx:
-                counts[pid] += 1
-        return counts
+                sigs[pid] |= bit
+        return sigs
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KSSet):
@@ -418,10 +422,10 @@ def symbol(s: KSSet) -> Symbol:
     renderings of these symbols.
     """
     ensure_valid(s)
-    mult = s.multiplicities()
+    sigs = s.signatures()
     ray_groups: dict[tuple[int, int], int] = {}
     for pid, proj in s.projectors.items():
-        key = (proj.rank, mult[pid])
+        key = (proj.rank, sigs[pid].bit_count())
         ray_groups[key] = ray_groups.get(key, 0) + 1
     ray_classes = tuple(
         (count, rank, m)

@@ -42,9 +42,6 @@ class Assignment:
 
     values: dict[str, int]
 
-    def ones(self) -> list[str]:
-        return sorted((p for p, v in self.values.items() if v), key=_natural_key)
-
     def lines(self) -> str:
         return "\n".join(
             f"{pid}={self.values[pid]}"
@@ -73,13 +70,14 @@ class SearchStats:
 class _Problem:
     """A set compiled for the search, and the start state of every search
     on it: orth, the at-most-one masks of all contexts (bitmasks in ids
-    order), and allowed, the projectors that occur in some context."""
+    order), and allowed, the projectors that occur in some context.  sigs
+    holds each projector's context signature (see KSSet.signatures)."""
 
     ids: list[str]
     index: dict[str, int]
     ctx_masks: list[int]
     mode: Mode
-    occurrences: list[list[int]]  # per projector, the contexts holding it
+    sigs: list[int]
     orth: Sequence[int]
     allowed: int
 
@@ -102,9 +100,11 @@ class _Problem:
             members ^= bit
             v = bit.bit_length() - 1
             row = 0
-            for ci in self.occurrences[v]:
-                if rest >> ci & 1:
-                    row |= ctx_masks[ci]
+            kept = self.sigs[v] & rest
+            while kept:
+                cbit = kept & -kept
+                kept ^= cbit
+                row |= ctx_masks[cbit.bit_length() - 1]
             if not row:
                 allowed &= ~bit
             if by_context:
@@ -134,13 +134,11 @@ def _compile(s: KSSet, mode: Mode) -> _Problem:
     ids = list(s.projectors)
     index = {pid: i for i, pid in enumerate(ids)}
     ctx_masks = []
-    occurrences: list[list[int]] = [[] for _ in ids]
     allowed = 0
-    for ci, ctx in enumerate(s.contexts):
+    for ctx in s.contexts:
         m = 0
         for pid in ctx:
             m |= 1 << index[pid]
-            occurrences[index[pid]].append(ci)
         ctx_masks.append(m)
         allowed |= m
     if mode is Mode.FULL:
@@ -155,7 +153,8 @@ def _compile(s: KSSet, mode: Mode) -> _Problem:
                 bit = rest & -rest
                 rest ^= bit
                 orth[bit.bit_length() - 1] |= cm & ~bit
-    return _Problem(ids, index, ctx_masks, mode, occurrences, orth, allowed)
+    sigs = list(s.signatures().values())
+    return _Problem(ids, index, ctx_masks, mode, sigs, orth, allowed)
 
 
 def _solve(
@@ -277,15 +276,13 @@ def _check(s: KSSet, asg: Assignment, mode: Mode) -> bool:
         for pid in ones:
             mask |= 1 << index[pid]
         return not any(masks[index[pid]] & mask for pid in ones)
-    else:
-        members: dict[str, set[int]] = {}
-        for ci, ctx in enumerate(s.contexts):
-            for pid in ctx:
-                members.setdefault(pid, set()).add(ci)
-        for i, p in enumerate(ones):
-            for q in ones[i + 1:]:
-                if members.get(p, set()) & members.get(q, set()):
-                    return False
+    # No two 1s may share a context: their signatures must be disjoint.
+    sigs = s.signatures()
+    shared = 0
+    for pid in ones:
+        if sigs[pid] & shared:
+            return False
+        shared |= sigs[pid]
     return True
 
 
@@ -315,7 +312,7 @@ def is_parity(s: KSSet) -> bool:
     ensure_valid(s)
     if s.n_contexts % 2 == 0:
         return False
-    return all(m % 2 == 0 for m in s.multiplicities().values())
+    return all(sig.bit_count() % 2 == 0 for sig in s.signatures().values())
 
 
 @dataclass

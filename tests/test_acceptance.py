@@ -21,7 +21,6 @@ import pytest
 from conftest import basis_set
 from ksets import catalog
 from ksets.construct import (
-    Pairing,
     ceg,
     matsuno,
     merge_rank,
@@ -140,7 +139,7 @@ def test_criterion_5_paired_sum_reproduction():
     s39 = pz_improved(
         catalog.seed_set("d4-18-9"),
         catalog.seed_set("d6-21-7"),
-        Pairing(catalog.PAIRING_D4_D6),
+        catalog.PAIRING_D4_D6,
     )
     failures = []
     sym39 = symbol(s39)

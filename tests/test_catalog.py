@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from ksets import catalog
-from ksets.construct import Pairing, apply_transform, merge_rank, pz_improved
+from ksets.construct import apply_transform, merge_rank, pz_improved
 from ksets.cyclo import CycNum
 from ksets.errors import UnknownNameError
 from ksets.model import symbol, validate
@@ -94,7 +94,7 @@ def test_d10_39_9_equals_paired_sum():
     built = pz_improved(
         catalog.seed_set("d4-18-9"),
         catalog.seed_set("d6-21-7"),
-        Pairing(catalog.PAIRING_D4_D6),
+        catalog.PAIRING_D4_D6,
     )
     assert built.n_projectors == entry.set.n_projectors
     assert built.n_contexts == entry.set.n_contexts

@@ -105,6 +105,13 @@ def test_verify_missing_file(capsys):
     assert code == 3
 
 
+def test_verify_directory_is_invalid_input(capsys, tmp_path):
+    code, out, err = run(capsys, "verify", str(tmp_path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify"])

@@ -24,7 +24,6 @@ from ksets.errors import (
 )
 from ksets.model import KSSet, Projector, Ray, inner, symbol, validate
 from ksets.construct import (
-    Pairing,
     apply_transform,
     build_chain,
     ceg,
@@ -80,13 +79,13 @@ def test_pairing_validity():
         pz_improved(
             catalog.seed_set("d4-18-9"),
             catalog.seed_set("d6-21-7"),
-            Pairing((0, 0, 1, 2, 3, 4, 5, 6, 6)),
+            (0, 0, 1, 2, 3, 4, 5, 6, 6),
         )
 
 
 def test_pairing_requires_total_map(s18, s21):
     with pytest.raises(InvalidPairingError):
-        pz_improved(s18, s21, Pairing((0, 1, 2)))
+        pz_improved(s18, s21, (0, 1, 2))
 
 
 def test_pz_improved_requires_parity(s18):
@@ -95,7 +94,7 @@ def test_pz_improved_requires_parity(s18):
 
 
 def test_pz_improved_fixture(s18, s21):
-    out = pz_improved(s18, s21, Pairing(catalog.PAIRING_D4_D6))
+    out = pz_improved(s18, s21, catalog.PAIRING_D4_D6)
     sym = symbol(out)
     assert sym.compact == "39-9"
     assert sym.detailed == "6^1_4 33^1_2 - 9^10_10"
@@ -104,7 +103,7 @@ def test_pz_improved_fixture(s18, s21):
 
 
 def test_pz_improved_default_equals_fixture(s18, s21):
-    assert default_pairing(9, 7) == Pairing(catalog.PAIRING_D4_D6)
+    assert default_pairing(9, 7) == catalog.PAIRING_D4_D6
 
 
 def test_pz_improved_flip_mirrors_blocks(s18, s21):
@@ -120,7 +119,7 @@ def test_pz_improved_flip_mirrors_blocks(s18, s21):
 
 
 def test_merge_rank_fixture_pairs(s18, s21):
-    out = merge_rank(pz_improved(s18, s21, Pairing(catalog.PAIRING_D4_D6)))
+    out = merge_rank(pz_improved(s18, s21, catalog.PAIRING_D4_D6))
     sym = symbol(out)
     assert sym.compact == "30-9"
     assert sym.detailed == "9^2_2 6^1_4 15^1_2 - 6^10_7 3^10_10"
@@ -159,7 +158,7 @@ def test_split_inverts_merge_counts():
 
 def test_optimize_pairing_self_identity(s21):
     best = optimize_pairing(s21, s21)
-    assert best.assignment == (0, 1, 2, 3, 4, 5, 6)
+    assert best == (0, 1, 2, 3, 4, 5, 6)
     assert count_merges(s21, s21, best) == 21
     merged = merge_rank(pz_improved(s21, s21, best))
     sym = symbol(merged)
@@ -169,23 +168,48 @@ def test_optimize_pairing_self_identity(s21):
 
 def test_optimize_pairing_18_21_achieves_nine(s18, s21):
     best = optimize_pairing(s18, s21)
-    assert best.assignment == (0, 0, 0, 1, 2, 3, 4, 5, 6)
+    assert best == (0, 0, 0, 1, 2, 3, 4, 5, 6)
     assert count_merges(s18, s21, best) == 9
     out = merge_rank(pz_improved(s18, s21, best))
     assert symbol(out).compact == "30-9"
 
 
-def test_optimize_pairing_greedy_beyond_nine(s18, s21):
-    # a 63-context parity set forces the hill-climbing path
+def test_optimize_pairing_refuses_beyond_nine(s18, s21):
+    # a 63-context parity set is past the exhaustive search
     big = pz_basic(s18, s21)
     assert is_parity(big)
-    best = optimize_pairing(s21, big)
-    out = pz_improved(s21, big, best)
-    assert out.n_contexts == 63
-    assert is_parity(out)
-    assert count_merges(s21, big, best) >= count_merges(
-        s21, big, default_pairing(63, 7)
-    )
+    with pytest.raises(InvalidPairingError, match="at most 9 contexts"):
+        optimize_pairing(s21, big)
+
+
+def test_pairing_mod_seven_merges_every_small_projector(s18, s21):
+    # k -> k mod 7 pairs each 21-7 context with the 9 contexts of pz_basic
+    # that extend it, so every one of the 21 small projectors merges
+    big = pz_basic(s18, s21)
+    pairing = tuple(k % 7 for k in range(63))
+    summed = pz_improved(s21, big, pairing)
+    merged = merge_rank(summed)
+    assert count_merges(s21, big, pairing) == 21
+    assert summed.n_projectors - merged.n_projectors == 21
+    assert is_parity(merged)
+
+
+@pytest.mark.parametrize("pairing", [
+    (0,) * 9,                      # small contexts 1..6 used zero times
+    (0, 1, 2, 3, 4, 5, 6, 0),      # covers 8 of the 9 large contexts
+    (0, 1, 2, 3, 4, 5, 6, 0, 7),   # small context 7 does not exist
+    (0, 1, 2, 3, 4, 5, 6, 0, -1),
+])
+def test_count_merges_checks_the_pairing(s18, s21, pairing):
+    with pytest.raises(InvalidPairingError):
+        pz_improved(s18, s21, pairing)
+    with pytest.raises(InvalidPairingError):
+        count_merges(s18, s21, pairing)
+
+
+def test_count_merges_requires_parity(s18):
+    with pytest.raises(NotParityError):
+        count_merges(s18, basis_set(3), (0,) * 9)
 
 
 def test_optimize_pairing_leaves_no_garbage(s21):
