@@ -108,22 +108,44 @@ def _parse_pairing(text: str) -> tuple[int, ...]:
     return tuple(int(tok) - 1 for tok in text.split(","))
 
 
+# The operands of each construction method: SET is a catalog name or a set
+# file, N and D are integers.
+_CONSTRUCT_OPERANDS = {
+    "pz": ("SET", "SET"),
+    "pz-basic": ("SET", "SET"),
+    "scale": ("SET", "N"),
+    "ceg": ("SET", "D"),
+    "matsuno": ("SET", "D"),
+}
+
+
+def _operand(kind: str, text: str):
+    if kind == "SET":
+        return _load_set(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{kind} must be an integer, got {text!r}") from None
+
+
 def _cmd_construct(args) -> int:
+    kinds = _CONSTRUCT_OPERANDS[args.method]
+    if len(args.args) != len(kinds):
+        raise ValueError(
+            f"construct {args.method} takes {' '.join(kinds)}, "
+            f"got {len(args.args)} argument(s)")
+    a, b = (_operand(kind, text) for kind, text in zip(kinds, args.args))
     if args.method == "pz":
-        s1, s2 = _load_set(args.args[0]), _load_set(args.args[1])
         pairing = _parse_pairing(args.pairing) if args.pairing else None
-        out = pz_improved(s1, s2, pairing)
+        out = pz_improved(a, b, pairing)
     elif args.method == "pz-basic":
-        s1, s2 = _load_set(args.args[0]), _load_set(args.args[1])
-        out = pz_basic(s1, s2)
+        out = pz_basic(a, b)
     elif args.method == "scale":
-        out = rank_scale(_load_set(args.args[0]), int(args.args[1]))
+        out = rank_scale(a, b)
     elif args.method == "ceg":
-        out = ceg(_load_set(args.args[0]), int(args.args[1]))
-    elif args.method == "matsuno":
-        out = matsuno(_load_set(args.args[0]), int(args.args[1]))
-    else:  # pragma: no cover - argparse restricts choices
-        return 2
+        out = ceg(a, b)
+    else:
+        out = matsuno(a, b)
     sys.stdout.write(serialize(out))
     return 0
 
@@ -174,9 +196,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_catalog)
 
     p = sub.add_parser("construct", help="run a construction method")
-    p.add_argument("method", choices=["pz", "pz-basic", "scale", "ceg", "matsuno"])
-    p.add_argument("args", nargs="+",
-                   help="pz/pz-basic: SET SET; scale: SET N; ceg/matsuno: SET D")
+    p.add_argument("method", choices=list(_CONSTRUCT_OPERANDS))
+    p.add_argument("args", nargs="+", help="; ".join(
+        f"{method}: {' '.join(kinds)}" for method, kinds in _CONSTRUCT_OPERANDS.items()))
     p.add_argument("--pairing", help="comma list: small-set context per large context (1-based)")
     p.set_defaults(func=_cmd_construct)
 

@@ -4,14 +4,19 @@ Rays are stored unnormalized; every subspace decision (orthogonality,
 equality, completeness) is made with exact field arithmetic, so there is
 never a tolerance anywhere in the model.
 
-Equal subspaces are found through one hash index, SubspaceIndex, shared by
-validate and the constructions.  A subspace of any rank, a single ray
-included, is keyed by the exact image of its orthogonal projector, and a
-key match is confirmed exactly by Pythagoras: a vector lies in a span when
-its projection keeps all of its norm.  Ray equality is the same test.  The
-full orthogonality relation of a set is computed once, as one integer
-bitmask per projector; orthogonality_graph hands it out as a read-only
-mapping view.
+Orthogonality is one boolean test, orthogonal: inside the packing bound of
+inner it asks whether the packed residue of the product is zero, which it
+is exactly when the product is, and never unpacks it.  inner is left to the
+callers that need the value.  Equal subspaces are found through one hash
+index, SubspaceIndex, shared by validate and the constructions.  A subspace
+of any rank, a single ray included, is keyed by its rank and one residue,
+w'^T P w mod N for its orthogonal projector P and two fixed probe vectors,
+and a key match is confirmed exactly by Pythagoras: a vector lies in a span
+when its projection keeps all of its norm.  Ray equality is the same test.
+The full orthogonality relation of a set is computed once, as one integer
+bitmask per projector; it takes pairs with disjoint supports and pairs that
+validation proved orthogonal in a shared context without a product, and
+orthogonality_graph hands it out as a read-only mapping view.
 """
 
 from __future__ import annotations
@@ -90,10 +95,9 @@ class Projector:
 
     @cached_property
     def support(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for ray in self.span:
-            out |= ray.support
-        return out
+        if len(self.span) == 1:
+            return self.span[0].support
+        return frozenset().union(*(ray.support for ray in self.span))
 
 
 Context = tuple[str, ...]
@@ -172,6 +176,27 @@ def inner(u: Ray, v: Ray) -> CycNum:
     return acc
 
 
+def orthogonal(u: Ray, v: Ray) -> bool:
+    """True when <u, v> = 0.
+
+    Inside the bound of inner, 16 |u|_1 |v|_1 < X, the reduced numerator of
+    the scaled product is below N/2 in absolute value, so it is zero exactly
+    when its residue mod N is: the packed residue is tested without being
+    unpacked.  Outside the bound inner decides.
+    """
+    # The checks repeat inner's: the graph calls this for every pair it
+    # tests, and a shared helper call cost about a tenth of its time.
+    if len(u.entries) != len(v.entries):
+        raise DimensionMismatch(f"dimensions {len(u.entries)} != {len(v.entries)}")
+    if u._vals is None:
+        u._pack()
+    if v._vals is None:
+        v._pack()
+    if 16 * u._norm1 * v._norm1 < PACK_BASE:
+        return not sum(map(mul, u._conjs, v._vals)) % PACK_MOD
+    return inner(u, v).is_zero()
+
+
 def ray_equal(u: Ray, v: Ray) -> bool:
     """True when the rays are proportional (the same projective point)."""
     if len(u.entries) != len(v.entries):
@@ -180,13 +205,16 @@ def ray_equal(u: Ray, v: Ray) -> bool:
 
 
 def projector_orthogonal(p: Projector, q: Projector) -> bool:
-    """True when every span ray of p is orthogonal to every span ray of q."""
+    """True when every span ray of p is orthogonal to every span ray of q.
+    Rays with disjoint supports are orthogonal without a product."""
     dp, dq = len(p.span[0].entries), len(q.span[0].entries)
     if dp != dq:
         raise DimensionMismatch(f"dimensions {dp} != {dq}")
+    if p.support.isdisjoint(q.support):
+        return True
     for u in p.span:
         for v in q.span:
-            if u.support & v.support and not inner(u, v).is_zero():
+            if not u.support.isdisjoint(v.support) and not orthogonal(u, v):
                 return False
     return True
 
@@ -220,39 +248,56 @@ def projector_equal(p: Projector, q: Projector) -> bool:
 
 
 @cache
-def _probe(d: int) -> tuple[int, ...]:
-    """The probe vector w of subspace keys in dimension d: w_i = g^(i+1)
-    mod N for a fixed odd g.  Any w gives equal subspaces equal keys; large
-    residues make equal keys of distinct subspaces, which projector_equal
-    then tells apart, unlikely."""
-    out, w = [], 1
-    for _ in range(d):
-        w = w * 0x9E3779B97F4A7C15 % PACK_MOD
-        out.append(w)
-    return tuple(out)
+def _probe(d: int) -> tuple[tuple[int, ...], ...]:
+    """The probe vectors w and w' of subspace keys in dimension d: w_i =
+    g^(i+1) and w'_i = h^(i+1) modulo the prime 2^61 - 1, for fixed g != h.
+    Any probes give equal subspaces equal keys; pseudo-random ones make
+    equal keys of distinct subspaces, which projector_equal then tells
+    apart, unlikely, and word-sized ones keep the products cheap.  w' must
+    not be a multiple of w: w^T P w only sees P + P^T, which a ray and its
+    complex conjugate share."""
+    probes = []
+    for g in (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F):
+        out, w = [], 1
+        for _ in range(d):
+            w = w * g % ((1 << 61) - 1)
+            out.append(w)
+        probes.append(tuple(out))
+    return tuple(probes)
 
 
 def _subspace_key(proj: Projector) -> Hashable | None:
     """A key that equal subspaces share, or None when there is none.
 
-    The key of a rank-r subspace is r and the image mod N of P w, with
+    The key of a rank-r subspace is r and the residue mod N of
+    w'^T P w = sum_k (w'^T q_k) (q_k^dagger w) / n_k, with
     P = sum_k q_k q_k^dagger / n_k the orthogonal projector onto the span
     (q_k the span rays, which must be mutually orthogonal, and
-    n_k = <q_k, q_k>) and w = _probe(d).  z -> X is a ring homomorphism and
-    the images of the n_k are units mod N, so equal subspaces, having equal
-    P, get equal keys whatever their bases; for a ray, any nonzero multiple
-    gives the same P.  The key is None when prod n_k is not a unit mod N;
-    every prime factor of N exceeds 10^6, so only huge entries do this."""
+    n_k = <q_k, q_k>) and (w, w') = _probe(d).  z -> X is a ring
+    homomorphism and the images of the n_k are units mod N, so equal
+    subspaces, having equal P, get equal keys whatever their bases; for a
+    ray, any nonzero multiple gives the same P.  The key is None when
+    prod n_k is not a unit mod N; every prime factor of N exceeds 10^6, so
+    only huge entries do this."""
     span = proj.span
+    w, w2 = _probe(len(span[0].entries))
+    # Scaling q_k by its lcm (the packed images) scales q_k q_k^dagger and
+    # n_k alike.  The sums run over the support: padded rays are mostly
+    # zeros.
+    norms, terms = [], []
     for q in span:
         if q._vals is None:
             q._pack()
-    # Scaling q_k by its lcm (the packed images) scales q_k q_k^dagger and
-    # n_k alike.  One inverse serves every n_k: prefix[k] = n_0 ... n_{k-1}.
-    # The sums run over the support: padded rays are mostly zeros.
-    norms = [
-        sum(q._conjs[i] * q._vals[i] for i in q.support) % PACK_MOD for q in span
-    ]
+        conjs, vals = q._conjs, q._vals
+        n = left = right = 0
+        for i in q.support:
+            c, v = conjs[i], vals[i]
+            n += c * v
+            left += w2[i] * v
+            right += c * w[i]
+        norms.append(n % PACK_MOD)
+        terms.append(left * right % PACK_MOD)
+    # One inverse serves every n_k: prefix[k] = n_0 ... n_{k-1}.
     prefix = [1]
     for n in norms:
         prefix.append(prefix[-1] * n % PACK_MOD)
@@ -260,17 +305,12 @@ def _subspace_key(proj: Projector) -> Hashable | None:
         inv = pow(prefix[-1], -1, PACK_MOD)
     except ValueError:
         return None
-    w = _probe(len(span[0].entries))
-    image = [0] * len(w)
+    total = 0
     for k in range(len(span) - 1, -1, -1):
-        q = span[k]
         # inv is 1 / prefix[k + 1] here, so inv * prefix[k] = 1 / n_k.
-        coef = sum(q._conjs[i] * w[i] for i in q.support) % PACK_MOD
-        coef = coef * (inv * prefix[k] % PACK_MOD)
+        total += terms[k] * (inv * prefix[k] % PACK_MOD)
         inv = inv * norms[k] % PACK_MOD
-        for i in q.support:
-            image[i] += q._vals[i] * coef
-    return len(span), tuple(x % PACK_MOD for x in image)
+    return len(span), total % PACK_MOD
 
 
 class SubspaceIndex:
@@ -341,11 +381,10 @@ def validate(s: KSSet) -> ValidationReport:
             if ray.is_zero():
                 report.add(f"projector {pid}: zero ray")
         span = proj.span
-        for i in range(len(span)):
+        for i, u in enumerate(span):
             for j in range(i + 1, len(span)):
-                if span[i].support & span[j].support and not inner(
-                    span[i], span[j]
-                ).is_zero():
+                v = span[j]
+                if not u.support.isdisjoint(v.support) and not orthogonal(u, v):
                     report.add(f"projector {pid}: span rays {i} and {j} not orthogonal")
     if not report.ok:
         return report
@@ -482,26 +521,37 @@ def orthogonality_graph(s: KSSet) -> OrthogonalityGraph:
     """The full orthogonality relation over projector ids, including pairs
     that never share a context, computed once per set.
 
-    Projectors with disjoint supports are orthogonal; they come from one
-    mask per coordinate of the projectors covering it.  Only pairs whose
-    supports overlap are checked with projector_orthogonal."""
+    Two kinds of pair are orthogonal without a product: pairs with disjoint
+    supports, found from one mask per coordinate of the projectors covering
+    it, and pairs that share a context, found from the context signatures,
+    which validation has just proved orthogonal.  Only the remaining pairs,
+    with overlapping supports and no shared context, are checked with
+    projector_orthogonal.  No projector is its own neighbour."""
     ensure_valid(s)
     if s._orth is None:
         projs = list(s.projectors.values())
+        sigs = list(s.signatures().values())
         cover = [0] * s.dimension
-        for i, p in enumerate(projs):
+        members = [0] * len(s.contexts)
+        for i, (p, sig) in enumerate(zip(projs, sigs)):
             for c in p.support:
                 cover[c] |= 1 << i
-        overlaps = []
-        for p in projs:
-            m = 0
-            for c in p.support:
-                m |= cover[c]
-            overlaps.append(m)
+            while sig:
+                bit = sig & -sig
+                sig ^= bit
+                members[bit.bit_length() - 1] |= 1 << i
         every = (1 << len(projs)) - 1
-        masks = [every & ~m for m in overlaps]
-        for i, p in enumerate(projs):
-            later = overlaps[i] >> (i + 1)
+        masks = [0] * len(projs)
+        for i, (p, sig) in enumerate(zip(projs, sigs)):
+            overlap = shared = 0
+            for c in p.support:
+                overlap |= cover[c]
+            while sig:
+                bit = sig & -sig
+                sig ^= bit
+                shared |= members[bit.bit_length() - 1]
+            masks[i] |= (every & ~overlap | shared) & ~(1 << i)
+            later = (overlap & ~shared) >> (i + 1)
             while later:
                 bit = later & -later
                 later ^= bit

@@ -6,6 +6,8 @@ enumerator.  Both are only usable for small sets but are obviously correct.
 The field automorphisms get the same treatment: a coefficient-by-coefficient
 substitution of powers of z read from the reduction table, and so does ray
 equality: a comparison of canonical forms, each ray scaled to a leading 1.
+The orthogonality graph is recomputed from one exact inner product per pair
+of span rays, with no shortcut.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from ksets.cyclo import _POW, DEGREE, CycNum
-from ksets.model import KSSet, Ray, orthogonality_graph
+from ksets.model import KSSet, Ray, inner, orthogonality_graph
 from ksets.verify import Mode
 
 
@@ -45,6 +47,21 @@ def reference_ray_equal(u: Ray, v: Ray) -> bool:
         return tuple(e * scale for e in ray.entries)
 
     return canonical(u) == canonical(v)
+
+
+def reference_graph(s: KSSet) -> tuple[int, ...]:
+    """Orthogonality masks in file order: bit j of entry i is set when
+    i != j and every span ray of projector i is orthogonal to every span ray
+    of projector j.  Every pair of span rays goes to inner: no support and
+    no context shortcut."""
+    projs = list(s.projectors.values())
+    masks = [0] * len(projs)
+    for i, p in enumerate(projs):
+        for j in range(i + 1, len(projs)):
+            if all(inner(u, v).is_zero() for u in p.span for v in projs[j].span):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return tuple(masks)
 
 
 def reference_orth(s: KSSet, mode: Mode, active: Iterable[int]) -> list[int]:

@@ -189,6 +189,20 @@ def test_construct_pz_rejects_bad_pairing(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("scale", "d4-18-9"), "construct scale takes SET N, got 1 argument(s)"),
+    (("pz", "d4-18-9"), "construct pz takes SET SET, got 1 argument(s)"),
+    (("ceg", "d6-21-7", "7", "8"), "construct ceg takes SET D, got 3 argument(s)"),
+    (("scale", "d4-18-9", "x"), "N must be an integer, got 'x'"),
+    (("matsuno", "d4-18-9", "5.0"), "D must be an integer, got '5.0'"),
+])
+def test_construct_checks_its_operands(capsys, argv, message):
+    code, out, err = run(capsys, "construct", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_construct_matsuno(capsys):
     code, out, _ = run(capsys, "construct", "matsuno", "d4-18-9", "5")
     assert code == 0

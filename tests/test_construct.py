@@ -22,7 +22,15 @@ from ksets.errors import (
     NotScaledUnitaryError,
     UnknownNameError,
 )
-from ksets.model import KSSet, Projector, Ray, inner, symbol, validate
+from ksets.model import (
+    KSSet,
+    Projector,
+    Ray,
+    inner,
+    orthogonality_graph,
+    symbol,
+    validate,
+)
 from ksets.construct import (
     apply_transform,
     build_chain,
@@ -544,6 +552,24 @@ def test_table_executes_d13_swap_rows():
     general = rows["6m+1"].build_general()
     assert symbol(general).compact == "43-12"
     assert is_ks(general)
+
+
+def test_table_build_graphs_are_pinned():
+    # The orthogonality masks of every table build for d = 3..24, general
+    # then rank-1 chain per row.  The digest was taken from the graph that
+    # sent every overlapping pair to an unpacked inner product.
+    chains = [
+        chain
+        for d in range(3, 25)
+        for recipe in table_recipe(d)
+        for chain in (recipe.general_chain, recipe.rank1_chain)
+        if chain
+    ]
+    assert len(chains) == 112
+    text = "\n".join(
+        repr(orthogonality_graph(build_chain(chain)).masks) for chain in chains)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "6c8f0208ca7da3bf46fa3d1e93b0ce2f8059c7e409dae5b235e6991a14d0a306")
 
 
 def test_table_rank1_six_n_scaling():

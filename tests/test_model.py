@@ -4,19 +4,25 @@ comparisons, validation and the symbol calculus."""
 from __future__ import annotations
 
 from math import lcm
+from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import basis_set, make_ray
-from ksets.cyclo import OMEGA3, PACK_BASE, SQRT2, ZERO, CycNum, pack, zeta
+from ksets import catalog
+from ksets.construct import build_chain, table_recipe
+from ksets.cyclo import (
+    OMEGA3, PACK_BASE, PACK_MOD, SQRT2, SQRT3, ZERO, CycNum, pack, zeta,
+)
 from ksets.errors import DimensionMismatch
 from ksets.model import (
     KSSet,
     Projector,
     Ray,
     inner,
+    orthogonal,
     orthogonality_graph,
     projector_equal,
     projector_orthogonal,
@@ -24,6 +30,8 @@ from ksets.model import (
     symbol,
     validate,
 )
+from ksets.setfile import parse, serialize
+from oracles import reference_graph
 
 
 def test_inner_standard_basis():
@@ -234,6 +242,26 @@ def test_graph_includes_non_context_pairs(s18):
     assert co < edges
 
 
+_GRAPH_CASES = [*catalog.NAMES, *catalog.SEED_NAMES] + [
+    chain
+    for d in range(3, 13)
+    for recipe in table_recipe(d)
+    for chain in (recipe.general_chain, recipe.rank1_chain)
+    if chain
+]
+
+
+@pytest.mark.parametrize("chain", _GRAPH_CASES)
+def test_graph_matches_the_pairwise_reference(chain):
+    # a fresh copy: no cached validation and no cached graph.  The graph
+    # takes disjoint supports and shared contexts as orthogonal unchecked;
+    # the reference checks every pair of span rays.
+    s = parse(serialize(build_chain(chain)))
+    masks = orthogonality_graph(s).masks
+    assert not any(m >> i & 1 for i, m in enumerate(masks))
+    assert masks == reference_graph(s)
+
+
 _entry_values = st.integers(min_value=-6, max_value=6)
 
 
@@ -349,6 +377,64 @@ def test_inner_takes_both_sides_of_the_packing_bound():
     for u in (small, big):
         for v in (small, big):
             assert inner(u, v) == _reference_inner(u, v)
+
+
+# -- the orthogonality predicate -------------------------------------------
+
+
+def _residue_zero_pair() -> tuple[Ray, Ray]:
+    """Rays with the nonzero product X z^7 - z^4 + 1, X = 2^64, whose image
+    X^8 - X^4 + 1 = N has residue 0: outside the packing bound."""
+    one, big = CycNum.from_rational(1), CycNum.from_rational(2**32)
+    return Ray((big, one, one)), Ray((big * zeta(7), -zeta(4), one))
+
+
+@given(_field_rays(), _field_rays())
+@example(*_residue_zero_pair())
+@settings(max_examples=60)
+def test_orthogonal_agrees_with_inner(u, v):
+    assert orthogonal(u, v) == inner(u, v).is_zero()
+
+
+_any_scalars = _scalars(st.one_of(_small, _huge))
+
+
+@given(_field_rays(dimension=2), _any_scalars, _scalars(_small), _any_scalars)
+@settings(max_examples=60)
+def test_orthogonal_on_constructed_pairs_and_their_perturbations(u, c, t, e):
+    # (x, y) is orthogonal to c (-conj(y), conj(x)).  The packed sum of such
+    # a pair is a multiple of N, and not 0 once a product needs reducing.
+    # Adding e to one entry leaves a pair that inner decides.
+    x, y = u.entries
+    a = Ray((x, y, t))
+    b = Ray((-c * y.conj(), c * x.conj(), ZERO))
+    assert orthogonal(a, b) and orthogonal(b, a)
+    moved = Ray((b.entries[0] + e, b.entries[1], ZERO))
+    assert orthogonal(a, moved) == inner(a, moved).is_zero()
+    assert orthogonal(moved, a) == inner(moved, a).is_zero()
+
+
+def test_orthogonal_takes_both_sides_of_the_packing_bound():
+    # only the bound keeps the residue of this pair from deciding
+    u, v = _residue_zero_pair()
+    u._pack()
+    v._pack()
+    assert 16 * u._norm1 * v._norm1 >= PACK_BASE
+    assert sum(map(mul, u._conjs, v._vals)) % PACK_MOD == 0
+    assert not inner(u, v).is_zero()
+    assert not orthogonal(u, v)
+    # an orthogonal pair with irrational entries on each side of the bound
+    one, x, y = CycNum.from_rational(1), SQRT2 + zeta(1), OMEGA3 - SQRT3
+    for c in (CycNum((0, 1, 0, 0, 0, 1, 0, 0), 3),
+              CycNum((2**40, 0, -(2**40), 0, 0, 0, 0, 1))):
+        cx, cy = c * x, c * y
+        p, q = Ray((cx, cy, one)), Ray((-c * cy.conj(), c * cx.conj(), ZERO))
+        p._pack()
+        q._pack()
+        inside = 16 * p._norm1 * q._norm1 < PACK_BASE
+        assert inside == (c.den == 3)
+        assert sum(map(mul, p._conjs, q._vals)) != 0
+        assert orthogonal(p, q) and inner(p, q).is_zero()
 
 
 def test_projector_equal_plane_in_two_complex_bases():

@@ -3,9 +3,9 @@
 A tracer (such as perfbench/spans.py) replaces a public function by a
 counting wrapper in every ksets module that binds it.  These tests do the
 same and check that the calls still arrive: the search reaches the graph
-through verify's binding, and the graph calls inner once per pair of span
-rays it has to compare.  CycNum methods are wrapped in the class dict, and
-ray work still calls them there.
+through verify's binding, and the graph calls orthogonal once per pair of
+span rays it has to compare.  CycNum methods are wrapped in the class dict,
+and ray work still calls them there.
 """
 
 from __future__ import annotations
@@ -72,13 +72,14 @@ def test_reduce_critical_is_traced_through_every_binding(monkeypatch, capsys):
     assert parse(capsys.readouterr().out).n_contexts == 9
 
 
-def _pairs_reaching_inner(s: model.KSSet) -> int:
-    """Span-ray pairs that a pairwise projector comparison sends to inner:
-    overlapping supports, up to the first nonzero product of each pair of
-    projectors whose supports overlap."""
+def _pairs_reaching_orthogonal(s: model.KSSet) -> int:
+    """Span-ray pairs that the graph sends to orthogonal: overlapping
+    supports, up to the first nonzero product of each pair of projectors
+    whose supports overlap and that share no context."""
+    sigs = s.signatures()
     total = 0
-    for p, q in itertools.combinations(s.projectors.values(), 2):
-        if not p.support & q.support:
+    for (a, p), (b, q) in itertools.combinations(s.projectors.items(), 2):
+        if not p.support & q.support or sigs[a] & sigs[b]:
             continue
         for u in p.span:
             for v in q.span:
@@ -92,12 +93,13 @@ def _pairs_reaching_inner(s: model.KSSet) -> int:
     return total
 
 
-@pytest.mark.parametrize("name, expected", [("d4-18-9", 129), ("d10-30-9", 321)])
-def test_graph_calls_inner_once_per_overlapping_pair(monkeypatch, name, expected):
+@pytest.mark.parametrize("name, expected", [("d4-18-9", 96), ("d10-30-9", 183)])
+def test_graph_calls_orthogonal_once_per_pair_outside_contexts(
+        monkeypatch, name, expected):
     s = _fresh(name)
     model.ensure_valid(s)
-    assert _pairs_reaching_inner(s) == expected
-    calls = _count_calls(monkeypatch, model, "inner")
+    assert _pairs_reaching_orthogonal(s) == expected
+    calls = _count_calls(monkeypatch, model, "orthogonal")
     model.orthogonality_graph(s)
     assert calls[0] == expected
     model.orthogonality_graph(s)
