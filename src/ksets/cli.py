@@ -134,6 +134,8 @@ def _cmd_construct(args) -> int:
         raise ValueError(
             f"construct {args.method} takes {' '.join(kinds)}, "
             f"got {len(args.args)} argument(s)")
+    if args.pairing is not None and args.method != "pz":
+        raise ValueError(f"--pairing applies to construct pz only, not {args.method}")
     a, b = (_operand(kind, text) for kind, text in zip(kinds, args.args))
     if args.method == "pz":
         pairing = _parse_pairing(args.pairing) if args.pairing else None
@@ -227,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
     except KSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

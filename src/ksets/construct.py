@@ -294,16 +294,26 @@ def split_ranks(s: KSSet) -> KSSet:
     return out
 
 
+# The most ray entries (n^2 d times the rank sum) rank_scale writes.
+MAX_SCALED_ENTRIES = 1 << 20
+
+
 def rank_scale(s: KSSet, n: int) -> KSSet:
     """Put n block copies of the whole set into orthogonal subspaces; each
     projector becomes the rank-n*r sum of its shifted copies while the
-    context structure is unchanged."""
+    context structure is unchanged.  n = 1 returns s, a larger n names
+    the output name(scale<n>)."""
     ensure_valid(s)
     if n < 1:
         raise BadDimensionError("scale factor must be a positive integer")
     if n == 1:
         return s
     d = s.dimension
+    entries = n * n * d * sum(p.rank for p in s.projectors.values())
+    if entries > MAX_SCALED_ENTRIES:
+        raise BadDimensionError(
+            f"scaling by {n} makes {entries} ray entries in dimension "
+            f"{n * d}; the limit is {MAX_SCALED_ENTRIES}")
     projs: dict[str, Projector] = {}
     for pid, proj in s.projectors.items():
         span: tuple[Ray, ...] = ()
@@ -312,7 +322,8 @@ def rank_scale(s: KSSet, n: int) -> KSSet:
                 _pad_ray(r, k * d, (n - 1 - k) * d) for r in proj.span
             )
         projs[pid] = Projector(span)
-    out = KSSet(n * d, projs, [tuple(c) for c in s.contexts], name=s.name)
+    out = KSSet(n * d, projs, [tuple(c) for c in s.contexts],
+                name=f"{s.name or 'S'}(scale{n})")
     ensure_valid(out)
     return out
 
@@ -409,20 +420,15 @@ def matsuno(s: KSSet, d_target: int) -> KSSet:
     delta = d_target - d
     v_ids = axis_basis_ids(s, delta)
 
-    def swap(ray: Ray) -> Ray:
-        entries = list(ray.entries)
-        for i in range(delta):
-            j = d_target - delta + i
-            entries[i], entries[j] = entries[j], entries[i]
-        return Ray(entries)
-
     registry = SubspaceIndex()
     amap: dict[str, str] = {}
     for pid, proj in s.projectors.items():
         amap[pid] = registry.add(pid, _pad_projector(proj, 0, delta))
     tmap: dict[str, str] = {}
     for pid, proj in s.projectors.items():
-        image = Projector((swap(_pad_ray(proj.span[0], 0, delta)),))
+        # The ray padded by delta zeros, its first and last delta entries swapped.
+        e = proj.span[0].entries
+        image = Projector((Ray((ZERO,) * delta + e[delta:] + e[:delta]),))
         tmap[pid] = registry.add(f"{pid}'", image)
     t_of_v = tuple(tmap[pid] for pid in v_ids)
     v_members = tuple(amap[pid] for pid in v_ids)

@@ -1,8 +1,8 @@
 """Data model for rays, general-rank projectors, contexts and whole sets.
 
-Rays are stored unnormalized; every subspace decision (orthogonality,
-equality, completeness) is made with exact field arithmetic, so there is
-never a tolerance anywhere in the model.
+Rays are stored unnormalized and packed when they are made; every subspace
+decision (orthogonality, equality, completeness) is made with exact field
+arithmetic, so there is never a tolerance anywhere in the model.
 
 Orthogonality is one boolean test, orthogonal: inside the packing bound of
 inner it asks whether the packed residue of the product is zero, which it
@@ -16,45 +16,43 @@ when its projection keeps all of its norm.  Ray equality is the same test.
 The full orthogonality relation of a set is computed once, as one integer
 bitmask per projector; it takes pairs with disjoint supports and pairs that
 validation proved orthogonal in a shared context without a product, and
-orthogonality_graph hands it out as a read-only mapping view.
+orthogonality_graph hands it out as a read-only mapping view.  Which
+projectors share a context is read from KSSet.members() with union_of.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterator, Mapping
+from collections.abc import Hashable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from math import lcm, prod
-from operator import mul
+from operator import mul, or_
 
 from .cyclo import PACK_BASE, PACK_MOD, CycNum, ZERO, pack, unpack
 from .errors import DimensionMismatch, ValidationError
 
 
 class Ray:
-    """A nonzero vector regarded projectively: scalar multiples are equal."""
+    """A nonzero vector regarded projectively: scalar multiples are equal.
+    It is packed when made: _vals and _conjs hold the images (cyclo.pack) of
+    the entries and of their conjugates, scaled by the lcm _lcm of their
+    denominators, and _norm1 the L1 norm of the scaled numerators."""
 
     __slots__ = ("entries", "support", "_vals", "_conjs", "_lcm", "_norm1")
 
     def __init__(self, entries):
         self.entries: tuple[CycNum, ...] = tuple(entries)
-        self.support = frozenset(
-            i for i, e in enumerate(self.entries) if not e.is_zero()
-        )
-        self._vals = None
-
-    def _pack(self) -> None:
-        """Cache the packed image (see cyclo.pack) of the entries scaled by
-        the lcm of their denominators, of their conjugates, that lcm and the
-        L1 norm of the scaled integer numerators.  Zero entries pack to 0."""
-        l = lcm(*(self.entries[i].den for i in self.support))
-        vals, conjs, norm1 = [0] * self.dimension, [0] * self.dimension, 0
-        for i in self.support:
+        d = len(self.entries)
+        support = [i for i, e in enumerate(self.entries) if not e.is_zero()]
+        l = lcm(*(self.entries[i].den for i in support))
+        vals, conjs, norm1 = [0] * d, [0] * d, 0
+        for i in support:
             e = self.entries[i]
             m = l // e.den
             v = vals[i] = pack(e) * m
             conjs[i] = v if e.israt else pack(e.conj()) * m
             norm1 += m * sum(map(abs, e.num))
+        self.support = frozenset(support)
         self._vals = tuple(vals)
         self._conjs = self._vals if conjs == vals else tuple(conjs)
         self._lcm = l
@@ -133,6 +131,13 @@ class KSSet:
                 sigs[pid] |= bit
         return sigs
 
+    def members(self) -> list[int]:
+        """For every context, the bitmask of its members (bit i for the i-th
+        projector of projectors).  The projectors that share a context with
+        a projector of signature sig are union_of(members(), sig)."""
+        bits = {pid: 1 << i for i, pid in enumerate(self.projectors)}
+        return [reduce(or_, (bits[pid] for pid in ctx), 0) for ctx in self.contexts]
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, KSSet):
             return NotImplemented
@@ -146,6 +151,15 @@ class KSSet:
         return [frozenset(c) for c in self.contexts] == [
             frozenset(c) for c in other.contexts
         ]
+
+
+def union_of(masks: Sequence[int], bits: int) -> int:
+    """The OR of masks[i] over the set bits i of bits."""
+    out = 0
+    while bits:
+        out |= masks[(bits & -bits).bit_length() - 1]
+        bits &= bits - 1
+    return out
 
 
 def inner(u: Ray, v: Ray) -> CycNum:
@@ -162,10 +176,6 @@ def inner(u: Ray, v: Ray) -> CycNum:
     # dimension properties cost more than the comparison itself.
     if len(u.entries) != len(v.entries):
         raise DimensionMismatch(f"dimensions {len(u.entries)} != {len(v.entries)}")
-    if u._vals is None:
-        u._pack()
-    if v._vals is None:
-        v._pack()
     if 16 * u._norm1 * v._norm1 < PACK_BASE:
         t = sum(map(mul, u._conjs, v._vals)) % PACK_MOD
         return unpack(t, u._lcm * v._lcm) if t else ZERO
@@ -184,14 +194,8 @@ def orthogonal(u: Ray, v: Ray) -> bool:
     when its residue mod N is: the packed residue is tested without being
     unpacked.  Outside the bound inner decides.
     """
-    # The checks repeat inner's: the graph calls this for every pair it
-    # tests, and a shared helper call cost about a tenth of its time.
     if len(u.entries) != len(v.entries):
         raise DimensionMismatch(f"dimensions {len(u.entries)} != {len(v.entries)}")
-    if u._vals is None:
-        u._pack()
-    if v._vals is None:
-        v._pack()
     if 16 * u._norm1 * v._norm1 < PACK_BASE:
         return not sum(map(mul, u._conjs, v._vals)) % PACK_MOD
     return inner(u, v).is_zero()
@@ -286,8 +290,6 @@ def _subspace_key(proj: Projector) -> Hashable | None:
     # zeros.
     norms, terms = [], []
     for q in span:
-        if q._vals is None:
-            q._pack()
         conjs, vals = q._conjs, q._vals
         n = left = right = 0
         for i in q.support:
@@ -523,33 +525,26 @@ def orthogonality_graph(s: KSSet) -> OrthogonalityGraph:
 
     Two kinds of pair are orthogonal without a product: pairs with disjoint
     supports, found from one mask per coordinate of the projectors covering
-    it, and pairs that share a context, found from the context signatures,
-    which validation has just proved orthogonal.  Only the remaining pairs,
-    with overlapping supports and no shared context, are checked with
-    projector_orthogonal.  No projector is its own neighbour."""
+    it, and pairs that share a context, union_of(s.members(), sig) for a
+    projector of signature sig, which validation has just proved
+    orthogonal.  Only the remaining pairs, with overlapping supports and no
+    shared context, are checked with projector_orthogonal.  No projector is
+    its own neighbour."""
     ensure_valid(s)
     if s._orth is None:
         projs = list(s.projectors.values())
-        sigs = list(s.signatures().values())
+        members = s.members()
         cover = [0] * s.dimension
-        members = [0] * len(s.contexts)
-        for i, (p, sig) in enumerate(zip(projs, sigs)):
+        for i, p in enumerate(projs):
             for c in p.support:
                 cover[c] |= 1 << i
-            while sig:
-                bit = sig & -sig
-                sig ^= bit
-                members[bit.bit_length() - 1] |= 1 << i
         every = (1 << len(projs)) - 1
         masks = [0] * len(projs)
-        for i, (p, sig) in enumerate(zip(projs, sigs)):
-            overlap = shared = 0
+        for i, (p, sig) in enumerate(zip(projs, s.signatures().values())):
+            overlap = 0
             for c in p.support:
                 overlap |= cover[c]
-            while sig:
-                bit = sig & -sig
-                sig ^= bit
-                shared |= members[bit.bit_length() - 1]
+            shared = union_of(members, sig)
             masks[i] |= (every & ~overlap | shared) & ~(1 << i)
             later = (overlap & ~shared) >> (i + 1)
             while later:

@@ -110,8 +110,6 @@ def parse(text: str, name: str | None = None) -> KSSet:
                     tuple(rays[m] for m in proj_members[pid])
                 )
         else:
-            if rid in proj_members:
-                raise SetSyntaxError(f"projector id {rid} collides with a ray id")
             projectors[rid] = Projector((rays[rid],))
 
     contexts = []

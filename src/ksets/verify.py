@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import NotKSError
-from .model import KSSet, ensure_valid, orthogonality_graph
+from .model import KSSet, ensure_valid, orthogonality_graph, union_of
 
 
 class Mode(str, Enum):
@@ -70,8 +70,9 @@ class SearchStats:
 class _Problem:
     """A set compiled for the search, and the start state of every search
     on it: orth, the at-most-one masks of all contexts (bitmasks in ids
-    order), and allowed, the projectors that occur in some context.  sigs
-    holds each projector's context signature (see KSSet.signatures)."""
+    order), and allowed, the projectors that occur in some context.
+    ctx_masks holds each context's members (see KSSet.members) and sigs
+    each projector's context signature (see KSSet.signatures)."""
 
     ids: list[str]
     index: dict[str, int]
@@ -90,21 +91,15 @@ class _Problem:
         bitmask without c.  Only c's members can change: each keeps what the
         rest of its contexts give it, and is no longer allowed when none is
         left.  Full-mode masks never change."""
-        ctx_masks = self.ctx_masks
         by_context = self.mode is Mode.CONTEXT_ONLY
         if by_context:
             orth = list(orth)
-        members = ctx_masks[c]
+        members = self.ctx_masks[c]
         while members:
             bit = members & -members
             members ^= bit
             v = bit.bit_length() - 1
-            row = 0
-            kept = self.sigs[v] & rest
-            while kept:
-                cbit = kept & -kept
-                kept ^= cbit
-                row |= ctx_masks[cbit.bit_length() - 1]
+            row = union_of(self.ctx_masks, self.sigs[v] & rest)
             if not row:
                 allowed &= ~bit
             if by_context:
@@ -133,27 +128,16 @@ def _compile(s: KSSet, mode: Mode) -> _Problem:
     ensure_valid(s)
     ids = list(s.projectors)
     index = {pid: i for i, pid in enumerate(ids)}
-    ctx_masks = []
-    allowed = 0
-    for ctx in s.contexts:
-        m = 0
-        for pid in ctx:
-            m |= 1 << index[pid]
-        ctx_masks.append(m)
-        allowed |= m
+    ctx_masks = s.members()
+    sigs = list(s.signatures().values())
+    allowed = union_of(ctx_masks, (1 << len(ctx_masks)) - 1)
     if mode is Mode.FULL:
         # Called through this module's binding, which tracers wrap.
         orth: Sequence[int] = orthogonality_graph(s).masks
     else:
         # Only projectors that share a context exclude each other.
-        orth = [0] * len(ids)
-        for cm in ctx_masks:
-            rest = cm
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                orth[bit.bit_length() - 1] |= cm & ~bit
-    sigs = list(s.signatures().values())
+        orth = [union_of(ctx_masks, sig) & ~(1 << v)
+                for v, sig in enumerate(sigs)]
     return _Problem(ids, index, ctx_masks, mode, sigs, orth, allowed)
 
 

@@ -164,6 +164,33 @@ def test_construct_scale(capsys):
     assert s.n_projectors == 21
 
 
+def test_construct_scale_names_its_output(capsys):
+    code, out, _ = run(capsys, "construct", "scale", "d6-21-7", "2")
+    assert code == 0
+    assert out.splitlines()[0] == "# d6-21-7(scale2)"
+
+
+def test_construct_scale_too_large_is_invalid_input(capsys):
+    code, out, err = run(capsys, "construct", "scale", "d4-18-9", "1000000000000")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: scaling by 1000000000000 makes ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("scale", "d4-18-9", "2"),
+    ("ceg", "d6-21-7", "7"),
+    ("matsuno", "d4-18-9", "5"),
+    ("pz-basic", "d4-18-9", "d6-21-7"),
+])
+def test_construct_pairing_only_for_pz(capsys, argv):
+    code, out, err = run(capsys, "construct", *argv, "--pairing", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --pairing applies to construct pz only, not {argv[0]}\n"
+
+
 def test_construct_pz_default_pairing(capsys):
     code, out, _ = run(capsys, "construct", "pz", "d4-18-9", "d6-21-7")
     assert code == 0

@@ -6,6 +6,9 @@ from __future__ import annotations
 import gc
 import hashlib
 import random
+import re
+import tracemalloc
+from math import isqrt
 
 import pytest
 
@@ -32,6 +35,7 @@ from ksets.model import (
     validate,
 )
 from ksets.construct import (
+    MAX_SCALED_ENTRIES,
     apply_transform,
     build_chain,
     ceg,
@@ -276,6 +280,47 @@ def test_rank_scale_ks_and_context_bijection(s18, n):
 def test_rank_scale_rejects_zero(s18):
     with pytest.raises(BadDimensionError):
         rank_scale(s18, 0)
+
+
+def test_rank_scale_names_its_output(s21):
+    assert rank_scale(s21, 2).name == "d6-21-7(scale2)"
+    assert rank_scale(s21, 1) is s21
+
+
+def _raises_without_allocating(s, n):
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadDimensionError, match="ray entries"):
+            rank_scale(s, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one scaled projector of d4-18-9, n rays of 4n entries, takes more
+    assert peak < 64 * 1024
+
+
+def test_rank_scale_bounds_its_output_before_building_it(s18):
+    # d4-18-9 has 18 rank-1 projectors in d = 4: 72 n^2 entries
+    per_n2 = 18 * 4
+    first_over = isqrt(MAX_SCALED_ENTRIES // per_n2) + 1
+    assert per_n2 * (first_over - 1) ** 2 <= MAX_SCALED_ENTRIES
+    assert per_n2 * first_over ** 2 > MAX_SCALED_ENTRIES
+    _raises_without_allocating(s18, first_over)
+    _raises_without_allocating(s18, 10**12)
+
+
+def test_rank_scale_bound_admits_every_table_chain_to_40():
+    scalings = set()
+    for d in range(3, 41):
+        for recipe in table_recipe(d):
+            for chain in (recipe.general_chain, recipe.rank1_chain):
+                scalings.update(re.findall(r"rank_scale\(([\w-]+), (\d+)\)",
+                                           chain or ""))
+    assert ("d3-49-36", "13") in scalings
+    for name, n in scalings:
+        s = catalog.seed_set(name)
+        rank_sum = sum(p.rank for p in s.projectors.values())
+        assert int(n) ** 2 * s.dimension * rank_sum <= MAX_SCALED_ENTRIES
 
 
 # -- padded extension ------------------------------------------------

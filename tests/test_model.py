@@ -344,7 +344,6 @@ def _reference_pack(ray: Ray) -> tuple:
 @given(_field_rays(dimension=6))
 @settings(max_examples=100)
 def test_pack_of_supported_entries_matches_packing_every_entry(ray):
-    ray._pack()
     assert (ray._vals, ray._conjs, ray._lcm, ray._norm1) == _reference_pack(ray)
 
 
@@ -370,8 +369,6 @@ def test_inner_zero_on_constructed_orthogonal_pairs(u, c, t):
 def test_inner_takes_both_sides_of_the_packing_bound():
     small = Ray((CycNum((1, 2, 0, 0, -3, 0, 0, 1), 5), SQRT2, OMEGA3))
     big = Ray((CycNum((2**31, 0, 0, 0, 0, 0, 0, -(2**31))), OMEGA3, zeta(5)))
-    for ray in (small, big):
-        ray._pack()
     assert 16 * small._norm1 * small._norm1 < PACK_BASE
     assert 16 * big._norm1 * big._norm1 >= PACK_BASE
     for u in (small, big):
@@ -417,8 +414,6 @@ def test_orthogonal_on_constructed_pairs_and_their_perturbations(u, c, t, e):
 def test_orthogonal_takes_both_sides_of_the_packing_bound():
     # only the bound keeps the residue of this pair from deciding
     u, v = _residue_zero_pair()
-    u._pack()
-    v._pack()
     assert 16 * u._norm1 * v._norm1 >= PACK_BASE
     assert sum(map(mul, u._conjs, v._vals)) % PACK_MOD == 0
     assert not inner(u, v).is_zero()
@@ -429,8 +424,6 @@ def test_orthogonal_takes_both_sides_of_the_packing_bound():
               CycNum((2**40, 0, -(2**40), 0, 0, 0, 0, 1))):
         cx, cy = c * x, c * y
         p, q = Ray((cx, cy, one)), Ray((-c * cy.conj(), c * cx.conj(), ZERO))
-        p._pack()
-        q._pack()
         inside = 16 * p._norm1 * q._norm1 < PACK_BASE
         assert inside == (c.den == 3)
         assert sum(map(mul, p._conjs, q._vals)) != 0

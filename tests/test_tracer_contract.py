@@ -124,6 +124,5 @@ def test_ray_packing_reaches_conj_through_the_class(monkeypatch):
     # method rather than the Galois helper behind it
     conj_calls = _count_method_calls(monkeypatch, "conj")
     ray = model.Ray((ZERO, SQRT2, CycNum.from_rational(3), ZERO, OMEGA3, SQRT2))
-    ray._pack()
     # one conjugate per supported entry that is not rational
     assert conj_calls[0] == 3
