@@ -105,7 +105,11 @@ def _cmd_catalog(args) -> int:
 
 
 def _parse_pairing(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) - 1 for tok in text.split(","))
+    try:
+        return tuple(int(tok) - 1 for tok in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"--pairing takes a comma list of integers, got {text!r}") from None
 
 
 # The operands of each construction method: SET is a catalog name or a set
@@ -138,7 +142,7 @@ def _cmd_construct(args) -> int:
         raise ValueError(f"--pairing applies to construct pz only, not {args.method}")
     a, b = (_operand(kind, text) for kind, text in zip(kinds, args.args))
     if args.method == "pz":
-        pairing = _parse_pairing(args.pairing) if args.pairing else None
+        pairing = None if args.pairing is None else _parse_pairing(args.pairing)
         out = pz_improved(a, b, pairing)
     elif args.method == "pz-basic":
         out = pz_basic(a, b)

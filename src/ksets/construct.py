@@ -44,12 +44,8 @@ from .model import (
 from .verify import find_assignment, is_parity, reduce_critical  # noqa: F401
 
 
-def _pad_ray(ray: Ray, prepend: int, append: int) -> Ray:
-    return Ray((ZERO,) * prepend + ray.entries + (ZERO,) * append)
-
-
 def _pad_projector(proj: Projector, prepend: int, append: int) -> Projector:
-    return Projector(tuple(_pad_ray(r, prepend, append) for r in proj.span))
+    return Projector(tuple(r.padded(prepend, append) for r in proj.span))
 
 
 def _axis_ray(dimension: int, coord: int) -> Ray:
@@ -316,12 +312,9 @@ def rank_scale(s: KSSet, n: int) -> KSSet:
             f"{n * d}; the limit is {MAX_SCALED_ENTRIES}")
     projs: dict[str, Projector] = {}
     for pid, proj in s.projectors.items():
-        span: tuple[Ray, ...] = ()
-        for k in range(n):
-            span += tuple(
-                _pad_ray(r, k * d, (n - 1 - k) * d) for r in proj.span
-            )
-        projs[pid] = Projector(span)
+        projs[pid] = Projector(tuple(
+            r.padded(k * d, (n - 1 - k) * d) for k in range(n) for r in proj.span
+        ))
     out = KSSet(n * d, projs, [tuple(c) for c in s.contexts],
                 name=f"{s.name or 'S'}(scale{n})")
     ensure_valid(out)
@@ -465,7 +458,7 @@ def apply_transform(s: KSSet, matrix: list[list[CycNum]]) -> KSSet:
             elif not g.is_zero():
                 raise NotScaledUnitaryError(f"columns {i} and {j} not orthogonal")
     assert scale is not None
-    if scale.is_zero() or scale.conj() != scale:
+    if scale.is_zero() or not scale.is_real():
         raise NotScaledUnitaryError("column norm must be a nonzero real scalar")
 
     def apply(ray: Ray) -> Ray:

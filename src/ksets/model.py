@@ -1,8 +1,10 @@
 """Data model for rays, general-rank projectors, contexts and whole sets.
 
-Rays are stored unnormalized and packed when they are made; every subspace
-decision (orthogonality, equality, completeness) is made with exact field
-arithmetic, so there is never a tolerance anywhere in the model.
+Rays are stored unnormalized and packed when they are made, over the window
+from their first to their last nonzero entry; a zero-padded copy shares its
+source's packing, and products and keys run over the windows only.  Every
+subspace decision (orthogonality, equality, completeness) is made with exact
+field arithmetic, so there is never a tolerance anywhere in the model.
 
 Orthogonality is one boolean test, orthogonal: inside the packing bound of
 inner it asks whether the packed residue of the product is zero, which it
@@ -11,8 +13,9 @@ callers that need the value.  Equal subspaces are found through one hash
 index, SubspaceIndex, shared by validate and the constructions.  A subspace
 of any rank, a single ray included, is keyed by its rank and one residue,
 w'^T P w mod N for its orthogonal projector P and two fixed probe vectors,
-and a key match is confirmed exactly by Pythagoras: a vector lies in a span
-when its projection keeps all of its norm.  Ray equality is the same test.
+computed once per projector (Projector.key), and a key match is confirmed
+exactly by Pythagoras: a vector lies in a span when its projection keeps
+all of its norm.  Ray equality is the same test.
 The full orthogonality relation of a set is computed once, as one integer
 bitmask per projector; it takes pairs with disjoint supports and pairs that
 validation proved orthogonal in a shared context without a product, and
@@ -34,29 +37,44 @@ from .errors import DimensionMismatch, ValidationError
 
 class Ray:
     """A nonzero vector regarded projectively: scalar multiples are equal.
-    It is packed when made: _vals and _conjs hold the images (cyclo.pack) of
-    the entries and of their conjugates, scaled by the lcm _lcm of their
-    denominators, and _norm1 the L1 norm of the scaled numerators."""
+    It is packed when made, over its support window, the entries _lo up to
+    the last nonzero one: _vals and _conjs hold the images (cyclo.pack) of
+    those entries and of their conjugates, scaled by the lcm _lcm of their
+    denominators, and _norm1 the L1 norm of the scaled numerators.  A padded
+    copy (padded) shares the packing and only moves _lo."""
 
-    __slots__ = ("entries", "support", "_vals", "_conjs", "_lcm", "_norm1")
+    __slots__ = ("entries", "support", "_lo", "_vals", "_conjs", "_lcm", "_norm1")
 
     def __init__(self, entries):
         self.entries: tuple[CycNum, ...] = tuple(entries)
-        d = len(self.entries)
         support = [i for i, e in enumerate(self.entries) if not e.is_zero()]
+        lo, hi = (support[0], support[-1] + 1) if support else (0, 0)
         l = lcm(*(self.entries[i].den for i in support))
-        vals, conjs, norm1 = [0] * d, [0] * d, 0
+        vals, conjs, norm1 = [0] * (hi - lo), [0] * (hi - lo), 0
         for i in support:
             e = self.entries[i]
             m = l // e.den
-            v = vals[i] = pack(e) * m
-            conjs[i] = v if e.israt else pack(e.conj()) * m
+            v = vals[i - lo] = pack(e) * m
+            conjs[i - lo] = v if e.israt else pack(e.conj()) * m
             norm1 += m * sum(map(abs, e.num))
         self.support = frozenset(support)
+        self._lo = lo
         self._vals = tuple(vals)
         self._conjs = self._vals if conjs == vals else tuple(conjs)
         self._lcm = l
         self._norm1 = norm1
+
+    def padded(self, prepend: int, append: int) -> Ray:
+        """This ray with prepend zeros before its entries and append zeros
+        after them, sharing its packing."""
+        out = Ray.__new__(Ray)
+        out.entries = (ZERO,) * prepend + self.entries + (ZERO,) * append
+        out.support = (frozenset(i + prepend for i in self.support)
+                       if prepend else self.support)
+        out._lo = self._lo + prepend
+        out._vals, out._conjs = self._vals, self._conjs
+        out._lcm, out._norm1 = self._lcm, self._norm1
+        return out
 
     @property
     def dimension(self) -> int:
@@ -96,6 +114,12 @@ class Projector:
         if len(self.span) == 1:
             return self.span[0].support
         return frozenset().union(*(ray.support for ray in self.span))
+
+    @cached_property
+    def key(self) -> Hashable | None:
+        """_subspace_key(self), computed once: the index of a construction
+        and validate's index share it."""
+        return _subspace_key(self)
 
 
 Context = tuple[str, ...]
@@ -177,7 +201,7 @@ def inner(u: Ray, v: Ray) -> CycNum:
     if len(u.entries) != len(v.entries):
         raise DimensionMismatch(f"dimensions {len(u.entries)} != {len(v.entries)}")
     if 16 * u._norm1 * v._norm1 < PACK_BASE:
-        t = sum(map(mul, u._conjs, v._vals)) % PACK_MOD
+        t = _dot(u, v) % PACK_MOD
         return unpack(t, u._lcm * v._lcm) if t else ZERO
     acc = ZERO
     common = u.support & v.support
@@ -197,8 +221,18 @@ def orthogonal(u: Ray, v: Ray) -> bool:
     if len(u.entries) != len(v.entries):
         raise DimensionMismatch(f"dimensions {len(u.entries)} != {len(v.entries)}")
     if 16 * u._norm1 * v._norm1 < PACK_BASE:
-        return not sum(map(mul, u._conjs, v._vals)) % PACK_MOD
+        return not _dot(u, v) % PACK_MOD
     return inner(u, v).is_zero()
+
+
+def _dot(u: Ray, v: Ray) -> int:
+    """The packed product of the conjugate images of u with the images of
+    v over the overlap of their windows, unreduced.  map stops at the
+    shorter window, so only the start needs aligning."""
+    shift = u._lo - v._lo
+    if shift >= 0:
+        return sum(map(mul, u._conjs, v._vals[shift:]))
+    return sum(map(mul, u._conjs[-shift:], v._vals))
 
 
 def ray_equal(u: Ray, v: Ray) -> bool:
@@ -286,14 +320,14 @@ def _subspace_key(proj: Projector) -> Hashable | None:
     span = proj.span
     w, w2 = _probe(len(span[0].entries))
     # Scaling q_k by its lcm (the packed images) scales q_k q_k^dagger and
-    # n_k alike.  The sums run over the support: padded rays are mostly
-    # zeros.
+    # n_k alike.  The sums run over the support, entry i at i - _lo of the
+    # window: padded rays are mostly zeros.
     norms, terms = [], []
     for q in span:
-        conjs, vals = q._conjs, q._vals
+        conjs, vals, lo = q._conjs, q._vals, q._lo
         n = left = right = 0
         for i in q.support:
-            c, v = conjs[i], vals[i]
+            c, v = conjs[i - lo], vals[i - lo]
             n += c * v
             left += w2[i] * v
             right += c * w[i]
@@ -318,8 +352,8 @@ def _subspace_key(proj: Projector) -> Hashable | None:
 class SubspaceIndex:
     """Projectors stored by id, at most one per subspace.
 
-    Each projector is looked up by its _subspace_key, so the spans must be
-    orthogonal, and a key match is confirmed with projector_equal.  A
+    Each projector is looked up by its key (_subspace_key), so the spans
+    must be orthogonal, and a key match is confirmed with projector_equal.  A
     projector without a key is compared exactly with every stored
     projector, and every later projector is compared with it too."""
 
@@ -331,7 +365,7 @@ class SubspaceIndex:
     def add(self, pid: str, proj: Projector) -> str:
         """The id of a stored projector with the subspace of proj, else pid
         after storing proj under it."""
-        key = _subspace_key(proj)
+        key = proj.key
         if key is None:
             candidates = list(self.table)
         else:
@@ -399,6 +433,9 @@ def validate(s: KSSet) -> ValidationReport:
         if first != pid:
             report.add(f"projectors {first} and {pid}: equal subspaces")
 
+    # Members with disjoint supports are orthogonal without a product.
+    bits = {pid: i for i, pid in enumerate(s.projectors)}
+    overlaps = _overlaps(s)
     seen_ctx: dict[frozenset[str], int] = {}
     for ci, ctx in enumerate(s.contexts):
         missing = [pid for pid in ctx if pid not in s.projectors]
@@ -414,8 +451,9 @@ def validate(s: KSSet) -> ValidationReport:
                 f"context {ci}: rank sum {ranksum} != dimension {s.dimension}"
             )
         for i in range(len(ctx)):
+            near = overlaps[bits[ctx[i]]]
             for j in range(i + 1, len(ctx)):
-                if not projector_orthogonal(
+                if near >> bits[ctx[j]] & 1 and not projector_orthogonal(
                     s.projectors[ctx[i]], s.projectors[ctx[j]]
                 ):
                     report.add(
@@ -519,31 +557,42 @@ class OrthogonalityGraph(Mapping):
         return len(self.ids)
 
 
+def _overlaps(s: KSSet) -> list[int]:
+    """For every projector, the bitmask of the projectors (bit i for the
+    i-th of projectors) whose supports meet its own, itself included.  It
+    is found once per distinct support, from one mask per coordinate of the
+    projectors covering it."""
+    groups: dict[frozenset[int], int] = {}
+    for i, p in enumerate(s.projectors.values()):
+        groups[p.support] = groups.get(p.support, 0) | 1 << i
+    cover = [0] * s.dimension
+    for support, bits in groups.items():
+        for c in support:
+            cover[c] |= bits
+    near = {support: reduce(or_, map(cover.__getitem__, support), 0)
+            for support in groups}
+    return [near[p.support] for p in s.projectors.values()]
+
+
 def orthogonality_graph(s: KSSet) -> OrthogonalityGraph:
     """The full orthogonality relation over projector ids, including pairs
     that never share a context, computed once per set.
 
     Two kinds of pair are orthogonal without a product: pairs with disjoint
-    supports, found from one mask per coordinate of the projectors covering
-    it, and pairs that share a context, union_of(s.members(), sig) for a
-    projector of signature sig, which validation has just proved
-    orthogonal.  Only the remaining pairs, with overlapping supports and no
-    shared context, are checked with projector_orthogonal.  No projector is
-    its own neighbour."""
+    supports, found by _overlaps, and pairs that share a context,
+    union_of(s.members(), sig) for a projector of signature sig, which
+    validation has just proved orthogonal.  Only the remaining pairs, with
+    overlapping supports and no shared context, are checked with
+    projector_orthogonal.  No projector is its own neighbour."""
     ensure_valid(s)
     if s._orth is None:
         projs = list(s.projectors.values())
         members = s.members()
-        cover = [0] * s.dimension
-        for i, p in enumerate(projs):
-            for c in p.support:
-                cover[c] |= 1 << i
         every = (1 << len(projs)) - 1
         masks = [0] * len(projs)
-        for i, (p, sig) in enumerate(zip(projs, s.signatures().values())):
-            overlap = 0
-            for c in p.support:
-                overlap |= cover[c]
+        for i, (p, sig, overlap) in enumerate(
+            zip(projs, s.signatures().values(), _overlaps(s))
+        ):
             shared = union_of(members, sig)
             masks[i] |= (every & ~overlap | shared) & ~(1 << i)
             later = (overlap & ~shared) >> (i + 1)

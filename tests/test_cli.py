@@ -216,6 +216,16 @@ def test_construct_pz_rejects_bad_pairing(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("pairing", ["", "1,x"])
+def test_construct_pz_rejects_malformed_pairing(capsys, pairing):
+    code, out, err = run(
+        capsys, "construct", "pz", "d4-18-9", "d6-21-7", "--pairing", pairing)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: --pairing takes a comma list of integers, got {pairing!r}\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("scale", "d4-18-9"), "construct scale takes SET N, got 1 argument(s)"),
     (("pz", "d4-18-9"), "construct pz takes SET SET, got 1 argument(s)"),

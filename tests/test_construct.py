@@ -277,6 +277,15 @@ def test_rank_scale_ks_and_context_bijection(s18, n):
     assert is_ks(out)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", catalog.NAMES)
+def test_rank_scale_keeps_the_orthogonality_graph(name, n):
+    # P (x) I_n is orthogonal to Q (x) I_n exactly when P is orthogonal to Q,
+    # so the products of the padded block copies give the seed's graph
+    s = catalog.seed_set(name)
+    assert orthogonality_graph(rank_scale(s, n)).masks == orthogonality_graph(s).masks
+
+
 def test_rank_scale_rejects_zero(s18):
     with pytest.raises(BadDimensionError):
         rank_scale(s18, 0)

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import basis_set, make_ray
-from ksets import catalog
+from ksets import catalog, model
 from ksets.construct import build_chain, table_recipe
 from ksets.cyclo import (
     OMEGA3, PACK_BASE, PACK_MOD, SQRT2, SQRT3, ZERO, CycNum, pack, zeta,
@@ -344,7 +344,13 @@ def _reference_pack(ray: Ray) -> tuple:
 @given(_field_rays(dimension=6))
 @settings(max_examples=100)
 def test_pack_of_supported_entries_matches_packing_every_entry(ray):
-    assert (ray._vals, ray._conjs, ray._lcm, ray._norm1) == _reference_pack(ray)
+    # the reference sliced to the window, first to last nonzero entry
+    vals, conjs, l, norm1 = _reference_pack(ray)
+    lo = min(ray.support, default=0)
+    hi = max(ray.support, default=-1) + 1
+    assert ray._lo == lo
+    assert (ray._vals, ray._conjs, ray._lcm, ray._norm1) == (
+        vals[lo:hi], conjs[lo:hi], l, norm1)
 
 
 @given(_field_rays(), _field_rays())
@@ -428,6 +434,78 @@ def test_orthogonal_takes_both_sides_of_the_packing_bound():
         assert inside == (c.den == 3)
         assert sum(map(mul, p._conjs, q._vals)) != 0
         assert orthogonal(p, q) and inner(p, q).is_zero()
+
+
+# -- padded rays share their source's packing --------------------------------
+
+
+def _pad(ray: Ray, prepend: int, append: int) -> Ray:
+    """The padded ray made from its entries, packed from scratch."""
+    return Ray((ZERO,) * prepend + ray.entries + (ZERO,) * append)
+
+
+def _assert_same_packing(padded: Ray, fresh: Ray) -> None:
+    assert padded.entries == fresh.entries
+    assert padded.support == fresh.support
+    assert (padded._lcm, padded._norm1) == (fresh._lcm, fresh._norm1)
+    if fresh.support:  # a zero ray has an empty window wherever it starts
+        assert (padded._lo, padded._vals, padded._conjs) == (
+            fresh._lo, fresh._vals, fresh._conjs)
+    assert model._subspace_key(Projector((padded,))) == model._subspace_key(
+        Projector((fresh,)))
+
+
+def _assert_same_products(pairs) -> None:
+    """Each (padded, fresh) ray pair against each: the packed products of
+    the windows agree with the products of the entries."""
+    for pu, fu in pairs:
+        for pv, fv in pairs:
+            assert inner(pu, pv) == inner(fu, fv) == _reference_inner(fu, fv)
+            assert orthogonal(pu, pv) == orthogonal(fu, fv) == inner(fu, fv).is_zero()
+
+
+@given(_field_rays(), _field_rays(dimension=2), st.integers(0, 4),
+       st.integers(0, 4), st.integers(0, 5), st.integers(0, 2))
+@settings(max_examples=100)
+def test_padded_ray_matches_the_ray_of_its_entries(u, v, a, b, c, again):
+    # v's window starts before, at or after u's, or misses it, in the
+    # padded dimension d; padding a padded ray pads its source again
+    d = a + 3 + b
+    c = min(c, d - 2)
+    pu, pv = u.padded(a, b), v.padded(c, d - 2 - c)
+    fu, fv = _pad(u, a, b), _pad(v, c, d - 2 - c)
+    twice = pu.padded(again, 1)
+    for padded, fresh in ((pu, fu), (pv, fv), (twice, _pad(u, a + again, b + 1))):
+        _assert_same_packing(padded, fresh)
+    _assert_same_products([(pu, fu), (pv, fv)])
+
+
+def _bound_pairs() -> list[tuple[Ray, Ray]]:
+    """An orthogonal pair inside the packing bound, and the pair outside it
+    whose nonzero product has residue 0."""
+    one, x, y = CycNum.from_rational(1), SQRT2 + zeta(1), OMEGA3 - SQRT3
+    c = CycNum((0, 1, 0, 0, 0, 1, 0, 0), 3)
+    cx, cy = c * x, c * y
+    inside = Ray((cx, cy, one)), Ray((-c * cy.conj(), c * cx.conj(), ZERO))
+    return [inside, _residue_zero_pair()]
+
+
+@pytest.mark.parametrize("shift", range(-4, 5))
+@pytest.mark.parametrize("pair", range(2))
+def test_padded_products_keep_both_sides_of_the_packing_bound(pair, shift):
+    # v's window starts shift entries after u's: before, at, after, and
+    # disjoint once it has moved past u's last nonzero entry
+    u, v = _bound_pairs()[pair]
+    d = 3 + abs(shift)
+    a, c = max(0, -shift), max(0, shift)
+    pu, pv = u.padded(a, d - 3 - a), v.padded(c, d - 3 - c)
+    fu, fv = _pad(u, a, d - 3 - a), _pad(v, c, d - 3 - c)
+    assert (16 * pu._norm1 * pv._norm1 < PACK_BASE) == (pair == 0)
+    _assert_same_packing(pu, fu)
+    _assert_same_packing(pv, fv)
+    _assert_same_products([(pu, fu), (pv, fv)])
+    if shift == 0:
+        assert orthogonal(pu, pv) == (pair == 0)
 
 
 def test_projector_equal_plane_in_two_complex_bases():

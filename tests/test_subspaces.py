@@ -207,11 +207,13 @@ def test_key_match_alone_merges_nothing(monkeypatch):
     real = model._subspace_key
     monkeypatch.setattr(
         model, "_subspace_key", lambda p: real(p) if p.rank == 1 else "same")
+    # fresh copies: the set's own projectors keep the keys validation gave them
     s = _source("rank_scale(d4-18-9, 2)")
+    projs = {pid: Projector(p.span) for pid, p in s.projectors.items()}
     index = SubspaceIndex()
-    assert [index.add(pid, p) for pid, p in s.projectors.items()] == list(s.projectors)
+    assert [index.add(pid, p) for pid, p in projs.items()] == list(projs)
     _, q = _rebased_pair()
-    assert index.add("again", q) == next(iter(s.projectors))
+    assert index.add("again", q) == next(iter(projs))
 
 
 def _rebased_pair() -> tuple[Projector, Projector]:
@@ -245,6 +247,25 @@ def test_projectors_without_a_key_still_find_duplicates(monkeypatch, keyless):
         index = SubspaceIndex()
         assert [index.add(pid, r) for pid, r in projs.items()] == ids[:-1] + [first]
         monkeypatch.setattr(model, "_subspace_key", real)
+
+
+@pytest.mark.parametrize("keyless", ["stored", "later"])
+def test_a_keyless_projector_meets_its_duplicate_on_fresh_copies(monkeypatch, keyless):
+    # a projector computes its key once, so the patch comes before any key
+    # of these fresh copies: the stored original or its later duplicate has
+    # none, and the other is compared with it exactly
+    s = _source("rank_scale(d4-18-9, 2)")
+    _, q = _rebased_pair()
+    projs = {pid: Projector(r.span) for pid, r in s.projectors.items()}
+    projs["dup"] = Projector(q.span)
+    first = next(iter(projs))
+    drop = projs[first] if keyless == "stored" else projs["dup"]
+    real = model._subspace_key
+    monkeypatch.setattr(
+        model, "_subspace_key", lambda r: None if r is drop else real(r))
+    report = validate(KSSet(s.dimension, projs, list(s.contexts)))
+    assert report.issues == [f"projectors {first} and dup: equal subspaces"]
+    assert drop.key is None
 
 
 def test_key_is_none_when_a_norm_is_not_a_unit(monkeypatch):
