@@ -440,7 +440,7 @@ def test_orthogonal_takes_both_sides_of_the_packing_bound():
 
 
 def _pad(ray: Ray, prepend: int, append: int) -> Ray:
-    """The padded ray made from its entries, packed from scratch."""
+    """The padded ray made from its entries, so packed anew."""
     return Ray((ZERO,) * prepend + ray.entries + (ZERO,) * append)
 
 
