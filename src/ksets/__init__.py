@@ -20,7 +20,6 @@ from .model import (
     orthogonality_graph,
     projector_equal,
     projector_orthogonal,
-    ray_equal,
     symbol,
     validate,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "parse_scalar",
     "projector_equal",
     "projector_orthogonal",
-    "ray_equal",
     "render_scalar",
     "symbol",
     "validate",

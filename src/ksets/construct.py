@@ -480,14 +480,17 @@ def apply_transform(s: KSSet, matrix: list[list[CycNum]]) -> KSSet:
     return out
 
 
-# The functions a chain may call and the kinds of their arguments.
-_CHAIN_ARGS = {
-    "rank_scale": ("set", "integer"),
-    "split_ranks": ("set",),
-    "merge_rank": ("set",),
-    "matsuno": ("set", "integer"),
-    "ceg": ("set", "integer"),
-    "pz_improved": ("set", "set"),
+# The constructions and their operands: SET is a set, N and D are integers.
+# The command line runs each of them; a chain runs all but pz_basic, which
+# no table row uses.
+OPERANDS = {
+    "rank_scale": ("SET", "N"),
+    "split_ranks": ("SET",),
+    "merge_rank": ("SET",),
+    "matsuno": ("SET", "D"),
+    "ceg": ("SET", "D"),
+    "pz_improved": ("SET", "SET"),
+    "pz_basic": ("SET", "SET"),
 }
 # A word (a function, a seed name or an integer) and whether "(" follows
 # it, or any other single character.
@@ -513,7 +516,7 @@ def build_chain(chain: str) -> KSSet:
     want_arg = True
     for word, paren, punct in _CHAIN_TOKEN.findall(chain):
         if want_arg and paren:
-            if word not in _CHAIN_ARGS:
+            if word not in OPERANDS or word == "pz_basic":
                 raise ChainSyntaxError(f"unknown chain function {word!r}")
             calls.append((word, []))
         elif want_arg and word[:1].isdigit():
@@ -532,10 +535,10 @@ def build_chain(chain: str) -> KSSet:
             want_arg = True
         elif not want_arg and punct == ")" and len(calls) > 1:
             name, args = calls.pop()
-            kinds = tuple("integer" if isinstance(a, int) else "set" for a in args)
-            if kinds != _CHAIN_ARGS[name]:
+            kinds = tuple("SET" if isinstance(a, KSSet) else "integer" for a in args)
+            if kinds != tuple(k if k == "SET" else "integer" for k in OPERANDS[name]):
                 raise ChainSyntaxError(
-                    f"{name} takes ({', '.join(_CHAIN_ARGS[name])}), "
+                    f"{name} takes ({', '.join(OPERANDS[name])}), "
                     f"got ({', '.join(kinds)})")
             # Looked up when the chain runs, so that a rebound module
             # attribute (the benchmark's tracer rebinds them) sees the call.

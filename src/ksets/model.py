@@ -15,17 +15,18 @@ of any rank, a single ray included, is keyed by its rank and one residue,
 w'^T P w mod N for its orthogonal projector P and two fixed probe vectors,
 computed once per projector (Projector.key), and a key match is confirmed
 exactly by Pythagoras: a vector lies in a span when its projection keeps
-all of its norm.  Ray equality is the same test.
+all of its norm.  Rays compare as rank-1 projectors, through
+projector_equal.
 The full orthogonality relation of a set is computed once, as one integer
 bitmask per projector; it takes pairs with disjoint supports and pairs that
 validation proved orthogonal in a shared context without a product, and
-orthogonality_graph hands it out as a read-only mapping view.  Which
-projectors share a context is read from KSSet.members() with union_of.
+orthogonality_graph returns the cached tuple of masks.  Which projectors
+share a context is read from KSSet.members() with union_of.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterator, Mapping, Sequence
+from collections.abc import Hashable, Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 from math import lcm, prod
@@ -233,13 +234,6 @@ def _dot(u: Ray, v: Ray) -> int:
     if shift >= 0:
         return sum(map(mul, u._conjs, v._vals[shift:]))
     return sum(map(mul, u._conjs[-shift:], v._vals))
-
-
-def ray_equal(u: Ray, v: Ray) -> bool:
-    """True when the rays are proportional (the same projective point)."""
-    if len(u.entries) != len(v.entries):
-        raise DimensionMismatch(f"dimensions {len(u.entries)} != {len(v.entries)}")
-    return u.support == v.support and _in_span(u, (v,))
 
 
 def projector_orthogonal(p: Projector, q: Projector) -> bool:
@@ -525,38 +519,6 @@ def symbol(s: KSSet) -> Symbol:
     return Symbol(compact, detailed, ray_classes, context_classes)
 
 
-class OrthogonalityGraph(Mapping):
-    """Read-only adjacency of projector ids: bit j of masks[i] is set when
-    ids[i] and ids[j] are orthogonal.  A row becomes a frozenset of ids the
-    first time it is read."""
-
-    def __init__(self, ids: tuple[str, ...], masks: tuple[int, ...]) -> None:
-        self.ids = ids
-        self.masks = masks
-        self._rows: dict[str, frozenset[str]] = {}
-        self._index: dict[str, int] | None = None
-
-    def __getitem__(self, pid: str) -> frozenset[str]:
-        row = self._rows.get(pid)
-        if row is None:
-            if self._index is None:
-                self._index = {q: i for i, q in enumerate(self.ids)}
-            rest = self.masks[self._index[pid]]
-            members = []
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                members.append(self.ids[bit.bit_length() - 1])
-            row = self._rows[pid] = frozenset(members)
-        return row
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.ids)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
 def _overlaps(s: KSSet) -> list[int]:
     """For every projector, the bitmask of the projectors (bit i for the
     i-th of projectors) whose supports meet its own, itself included.  It
@@ -574,9 +536,11 @@ def _overlaps(s: KSSet) -> list[int]:
     return [near[p.support] for p in s.projectors.values()]
 
 
-def orthogonality_graph(s: KSSet) -> OrthogonalityGraph:
-    """The full orthogonality relation over projector ids, including pairs
-    that never share a context, computed once per set.
+def orthogonality_graph(s: KSSet) -> tuple[int, ...]:
+    """The full orthogonality relation, including pairs that never share a
+    context, as one bitmask per projector in s.projectors order: bit j of
+    entry i is set when projectors i and j are orthogonal.  It is computed
+    once per set and cached; every call returns the same tuple.
 
     Two kinds of pair are orthogonal without a product: pairs with disjoint
     supports, found by _overlaps, and pairs that share a context,
@@ -604,4 +568,4 @@ def orthogonality_graph(s: KSSet) -> OrthogonalityGraph:
                     masks[i] |= 1 << j
                     masks[j] |= 1 << i
         s._orth = tuple(masks)
-    return OrthogonalityGraph(tuple(s.projectors), s._orth)
+    return s._orth

@@ -5,6 +5,9 @@ A valuation assigns 0/1 to every projector so that each complete context
 contains exactly one 1 and (in full mode) no two orthogonal projectors are
 both 1.  The search is complete: exhaustive backtracking over contexts with
 unit propagation, so absence of a witness is a proof of uncolorability.
+_check states the rule once, on projector ids and the orthogonality masks,
+and re-checks every witness the search returns, those of is_critical's
+removals included, also under python -O.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import NotKSError
-from .model import KSSet, ensure_valid, orthogonality_graph, union_of
+from .model import Context, KSSet, ensure_valid, orthogonality_graph, union_of
 
 
 class Mode(str, Enum):
@@ -133,7 +136,7 @@ def _compile(s: KSSet, mode: Mode) -> _Problem:
     allowed = union_of(ctx_masks, (1 << len(ctx_masks)) - 1)
     if mode is Mode.FULL:
         # Called through this module's binding, which tracers wrap.
-        orth: Sequence[int] = orthogonality_graph(s).masks
+        orth: Sequence[int] = orthogonality_graph(s)
     else:
         # Only projectors that share a context exclude each other.
         orth = [union_of(ctx_masks, sig) & ~(1 << v)
@@ -247,26 +250,23 @@ def _compile_uncolorable(
     return problem
 
 
-def _check(s: KSSet, asg: Assignment, mode: Mode) -> bool:
-    """Independent validity re-check of an assignment against the mode rules."""
-    for ctx in s.contexts:
-        if sum(asg.values[pid] for pid in ctx) != 1:
+def _check(s: KSSet, asg: Assignment, mode: Mode,
+           contexts: Sequence[Context] | None = None) -> bool:
+    """Independent re-check of an assignment against the rule: every value
+    is 0 or 1, every context (of s, or the given contexts) holds exactly one
+    1, and in full mode no two 1s are orthogonal."""
+    values = asg.values
+    if any(v not in (0, 1) for v in values.values()):
+        return False
+    for ctx in s.contexts if contexts is None else contexts:
+        if sum(values[pid] for pid in ctx) != 1:
             return False
-    ones = [pid for pid, v in asg.values.items() if v]
     if mode is Mode.FULL:
-        masks = orthogonality_graph(s).masks
+        graph = orthogonality_graph(s)
         index = {pid: i for i, pid in enumerate(s.projectors)}
-        mask = 0
-        for pid in ones:
-            mask |= 1 << index[pid]
-        return not any(masks[index[pid]] & mask for pid in ones)
-    # No two 1s may share a context: their signatures must be disjoint.
-    sigs = s.signatures()
-    shared = 0
-    for pid in ones:
-        if sigs[pid] & shared:
-            return False
-        shared |= sigs[pid]
+        ones = [index[pid] for pid, v in values.items() if v]
+        mask = sum(1 << i for i in ones)
+        return not any(graph[i] & mask for i in ones)
     return True
 
 
@@ -281,7 +281,8 @@ def find_assignment(
         return None
     values = {pid: 1 if mask >> i & 1 else 0 for i, pid in enumerate(problem.ids)}
     asg = Assignment(values)
-    assert _check(s, asg, mode), "search returned an invalid assignment"
+    if not _check(s, asg, mode):
+        raise AssertionError("search returned an invalid assignment")
     return asg
 
 
@@ -319,7 +320,8 @@ class CriticalityReport:
 
 def is_critical(s: KSSet, mode: Mode = Mode.FULL) -> CriticalityReport:
     """Remove each context in turn, restrict to the projectors still used,
-    and search for a witness; overall-critical iff every removal has one."""
+    and search for a witness; overall-critical iff every removal has one.
+    Each witness is re-checked by _check over the remaining contexts."""
     stats = SearchStats()
     problem = _compile_uncolorable(s, mode, stats, "criticality undefined")
     every = (1 << len(problem.ctx_masks)) - 1
@@ -335,7 +337,10 @@ def is_critical(s: KSSet, mode: Mode = Mode.FULL) -> CriticalityReport:
             for i in range(len(problem.ids))
             if allowed >> i & 1
         }
-        removals.append(Assignment(values))
+        asg = Assignment(values)
+        if not _check(s, asg, mode, s.contexts[:removed] + s.contexts[removed + 1:]):
+            raise AssertionError("search returned an invalid removal witness")
+        removals.append(asg)
     return CriticalityReport(mode, removals, stats)
 
 

@@ -69,15 +69,10 @@ def reference_orth(s: KSSet, mode: Mode, active: Iterable[int]) -> list[int]:
     remain: bit j of entry i is set when projectors i and j (in file order)
     may not both be 1.  That is every orthogonal pair in full mode, and
     every pair sharing an active context in context mode."""
+    if mode is Mode.FULL:
+        return list(orthogonality_graph(s))
     ids = list(s.projectors)
     orth = [0] * len(ids)
-    if mode is Mode.FULL:
-        graph = orthogonality_graph(s)
-        for i, p in enumerate(ids):
-            for j, q in enumerate(ids):
-                if q in graph[p]:
-                    orth[i] |= 1 << j
-        return orth
     index = {pid: i for i, pid in enumerate(ids)}
     for ci in active:
         for p in s.contexts[ci]:
@@ -110,7 +105,7 @@ def brute_force_witness(
         pair_masks = []
         for i in used:
             for j in used:
-                if j > i and ids[j] in graph[ids[i]]:
+                if j > i and graph[i] >> j & 1:
                     pair_masks.append((1 << i) | (1 << j))
     else:
         pairs = set()

@@ -80,6 +80,15 @@ def test_verify_non_utf8_file(capsys, tmp_path):
     assert "UTF-8" in err
 
 
+def test_verify_file_with_byte_order_mark(capsys, tmp_path):
+    path = tmp_path / "bom.ks"
+    path.write_bytes(b"\xef\xbb\xbfdim 2\nray a 1 0\nray b 0 1\nctx a b\n")
+    code, out, err = run(capsys, "verify", str(path), "--no-critical")
+    assert code == 1, err
+    assert out.splitlines()[:5] == [
+        "valid: yes", "symbol: 2^1_1 - 1^2_2", "mode: full", "KS: no", "parity: no"]
+
+
 def test_verify_superscript_dimension(capsys, tmp_path):
     path = tmp_path / "sup.ks"
     path.write_text("dim ²\nray a 1 0\nray b 0 1\nctx a b\n", encoding="utf-8")

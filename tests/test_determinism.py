@@ -1,5 +1,6 @@
-"""Source guard for the README's promise that no probabilistic step enters
-any decision: no module of the package imports random."""
+"""Source guards on the package: no module imports random, as the README
+promises that no probabilistic step enters any decision, and every name the
+package exports resolves."""
 
 from __future__ import annotations
 
@@ -22,3 +23,9 @@ def test_no_module_imports_random():
             if any(n.split(".")[0] == "random" for n in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, offenders
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in ksets.__all__ if not hasattr(ksets, name)]
+    assert not missing, missing
+    assert len(set(ksets.__all__)) == len(ksets.__all__)

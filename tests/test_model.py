@@ -26,7 +26,6 @@ from ksets.model import (
     orthogonality_graph,
     projector_equal,
     projector_orthogonal,
-    ray_equal,
     symbol,
     validate,
 )
@@ -62,8 +61,6 @@ def test_inner_dimension_mismatch():
 def test_pairwise_checks_dimension_mismatch():
     # disjoint supports: without the check each would answer, not raise
     u, v = make_ray(1, 0), make_ray(0, 0, 1)
-    with pytest.raises(DimensionMismatch, match="dimensions 2 != 3"):
-        ray_equal(u, v)
     for check in (projector_orthogonal, projector_equal):
         with pytest.raises(DimensionMismatch, match="dimensions 2 != 3"):
             check(Projector((u,)), Projector((v,)))
@@ -86,15 +83,20 @@ def test_inner_self_real_nonzero(s21):
         assert n.conj() == n
 
 
+def _ray_equal(u: Ray, v: Ray) -> bool:
+    """Ray equality: the rays compared as rank-1 projectors."""
+    return projector_equal(Projector((u,)), Projector((v,)))
+
+
 def test_ray_equal_scalar_multiple():
-    assert ray_equal(make_ray(1, 0, -1), make_ray(2, 0, -2))
-    assert not ray_equal(make_ray(1, 0, -1), make_ray(1, 0, 1))
+    assert _ray_equal(make_ray(1, 0, -1), make_ray(2, 0, -2))
+    assert not _ray_equal(make_ray(1, 0, -1), make_ray(1, 0, 1))
 
 
 def test_ray_equal_unit_modulus_scale():
     v = make_ray(1, 2, -1)
     w = Ray(tuple(zeta(4) * e for e in v.entries))
-    assert ray_equal(v, w)
+    assert _ray_equal(v, w)
 
 
 def test_projector_orthogonal_rank2():
@@ -205,24 +207,24 @@ def test_symbol_class_counts(s18):
 
 def test_graph_contexts_are_cliques(s18):
     graph = orthogonality_graph(s18)
-    for ctx in s18.contexts:
-        for i, p in enumerate(ctx):
-            for q in ctx[i + 1:]:
-                assert q in graph[p]
+    for m in s18.members():
+        for i in range(len(graph)):
+            if m >> i & 1:
+                assert graph[i] & m == m & ~(1 << i)
 
 
 def test_graph_18_9_degrees(s18):
     # brute-force count over all 153 pairs happens inside the graph builder;
     # every vertex has two contexts x three partners, with one shared pair
     graph = orthogonality_graph(s18)
-    assert all(len(nbrs) >= 6 for nbrs in graph.values())
-    n_edges = sum(len(nbrs) for nbrs in graph.values()) // 2
+    assert all(m.bit_count() >= 6 for m in graph)
+    n_edges = sum(m.bit_count() for m in graph) // 2
     assert n_edges == 63
 
 
 def test_graph_single_context_d2():
     g = orthogonality_graph(basis_set(2))
-    assert g == {"1": frozenset({"2"}), "2": frozenset({"1"})}
+    assert g == (0b10, 0b01)
 
 
 def test_graph_includes_non_context_pairs(s18):
@@ -230,12 +232,14 @@ def test_graph_includes_non_context_pairs(s18):
     # 18-ray set has 63 edges but only 54 co-context pairs
     graph = orthogonality_graph(s18)
     co = set()
-    for ctx in s18.contexts:
-        for i, p in enumerate(ctx):
-            for q in ctx[i + 1:]:
-                co.add(frozenset((p, q)))
+    for m in s18.members():
+        ids = [i for i in range(len(graph)) if m >> i & 1]
+        for k, i in enumerate(ids):
+            for j in ids[k + 1:]:
+                co.add((i, j))
     edges = {
-        frozenset((p, q)) for p, nbrs in graph.items() for q in nbrs
+        (i, j) for i, m in enumerate(graph) for j in range(i + 1, len(graph))
+        if m >> j & 1
     }
     assert len(co) == 54
     assert len(edges) == 63
@@ -257,7 +261,7 @@ def test_graph_matches_the_pairwise_reference(chain):
     # takes disjoint supports and shared contexts as orthogonal unchecked;
     # the reference checks every pair of span rays.
     s = parse(serialize(build_chain(chain)))
-    masks = orthogonality_graph(s).masks
+    masks = orthogonality_graph(s)
     assert not any(m >> i & 1 for i, m in enumerate(masks))
     assert masks == reference_graph(s)
 
@@ -293,7 +297,7 @@ def test_inner_self_real_random(u):
 @settings(max_examples=100)
 def test_ray_equal_random_unit_scale(v, k):
     scaled = Ray(tuple(zeta(k) * e for e in v.entries))
-    assert ray_equal(v, scaled)
+    assert _ray_equal(v, scaled)
 
 
 def test_ksset_equality_ignores_context_order(s18):

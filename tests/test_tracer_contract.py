@@ -72,6 +72,25 @@ def test_reduce_critical_is_traced_through_every_binding(monkeypatch, capsys):
     assert parse(capsys.readouterr().out).n_contexts == 9
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("scale", "d6-21-7", "2"), "rank_scale"),
+    (("pz", "d4-18-9", "d6-21-7"), "pz_improved"),
+    (("pz-basic", "d4-18-9", "d6-21-7"), "pz_basic"),
+    (("ceg", "d6-21-7", "7"), "ceg"),
+    (("matsuno", "d4-18-9", "5"), "matsuno"),
+])
+def test_cli_construct_calls_through_the_construct_module(
+        monkeypatch, capsys, argv, name):
+    # only the construct module's attribute is rebound: the CLI must look
+    # the function up there when it runs
+    original, calls = getattr(construct, name), []
+    monkeypatch.setattr(construct, name,
+                        lambda *args: calls.append(name) or original(*args))
+    assert cli.main(["construct", *argv]) == 0
+    assert calls == [name]
+    assert parse(capsys.readouterr().out).n_projectors > 0
+
+
 def _pairs_reaching_orthogonal(s: model.KSSet) -> int:
     """Span-ray pairs that the graph sends to orthogonal: overlapping
     supports, up to the first nonzero product of each pair of projectors

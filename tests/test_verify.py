@@ -5,14 +5,18 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import basis_set, census_set, make_ray
-from ksets import catalog
+from ksets import catalog, verify
 from ksets.errors import NotKSError
 from ksets.model import KSSet, Projector
 from ksets.verify import (
@@ -114,6 +118,74 @@ def test_is_critical_18_9(s18):
 def test_is_critical_rejects_colorable():
     with pytest.raises(NotKSError):
         is_critical(basis_set(3))
+
+
+def two_bases_d4() -> KSSet:
+    # the standard basis and a rotated one: 3 is orthogonal to 5 and 6,
+    # which share no context with it
+    projs = {
+        "1": Projector((make_ray(1, 0, 0, 0),)),
+        "2": Projector((make_ray(0, 1, 0, 0),)),
+        "3": Projector((make_ray(0, 0, 1, 0),)),
+        "4": Projector((make_ray(0, 0, 0, 1),)),
+        "5": Projector((make_ray(1, 1, 0, 0),)),
+        "6": Projector((make_ray(1, -1, 0, 0),)),
+        "7": Projector((make_ray(0, 0, 1, 1),)),
+        "8": Projector((make_ray(0, 0, 1, -1),)),
+    }
+    return KSSet(4, projs, [("1", "2", "3", "4"), ("5", "6", "7", "8")])
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("first", [
+    {"1": 2, "2": -1, "3": 0, "4": 0},  # sums to 1, but not 0/1
+    {"1": 1, "2": 1, "3": 0, "4": 0},   # two 1s in one context
+])
+def test_check_rejects_a_context_without_exactly_one_1(mode, first):
+    s = two_bases_d4()
+    values = {**first, "5": 1, "6": 0, "7": 0, "8": 0}
+    assert not _check(s, Assignment(values), mode)
+    assert _check(s, Assignment({**values, "1": 1, "2": 0}), mode)
+
+
+def test_check_rejects_orthogonal_1s_outside_contexts_in_full_mode_only():
+    s = two_bases_d4()
+    values = {"1": 0, "2": 0, "3": 1, "4": 0, "5": 1, "6": 0, "7": 0, "8": 0}
+    assert not _check(s, Assignment(values), Mode.FULL)
+    assert _check(s, Assignment(values), Mode.CONTEXT_ONLY)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_every_witness_is_rechecked(monkeypatch, s18, mode):
+    # a search result that breaks every context: all projectors 0
+    monkeypatch.setattr(verify, "_solve", lambda masks, *args: 0)
+    with pytest.raises(AssertionError, match="invalid assignment"):
+        find_assignment(s18, mode)
+    # the whole set is uncolorable, every removal "colorable" with all 0s
+    monkeypatch.setattr(
+        verify, "_solve",
+        lambda masks, *args: None if len(masks) == s18.n_contexts else 0)
+    with pytest.raises(AssertionError, match="invalid removal witness"):
+        is_critical(s18, mode)
+
+
+def test_witnesses_are_rechecked_under_python_optimize():
+    # python -O strips assert statements; the re-check must not be one
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "from ksets import catalog, verify\n"
+        "verify._solve = lambda masks, *args: 0\n"
+        "try:\n"
+        "    verify.find_assignment(catalog.seed_set('d4-18-9'))\n"
+        "except AssertionError:\n"
+        "    print('rechecked')\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "rechecked\n"
 
 
 def test_criticality_context_mode_drops_removed_constraints():
