@@ -1,4 +1,6 @@
-"""Embedded set-file documents for the cataloged sets.
+"""Embedded set-file documents for the published catalog sets and the two
+construction seeds.  The catalog derives its other sets from these by
+construction chains, so they have no document here.
 
 Scalar token conventions per document: 'w3' is the primitive cube root of
 unity e^{i2pi/3} (with conjugate 'W3'), 'w6' the primitive sixth root
@@ -69,7 +71,8 @@ ctx 5 10 14 17 19 21
 ctx 6 11 15 18 20 21
 """
 
-_D8_RAYS = """\
+D8_34_9 = """\
+dim 8
 ray 1 1 -1 0 0 0 0 0 0
 ray 2 0 0 1 -1 0 0 0 0
 ray 3 1 0 1 0 0 0 0 0
@@ -104,12 +107,6 @@ ray 31 1 1 -1 -1 1 -1 1 1
 ray 32 1 1 -1 -1 1 -1 -1 -1
 ray 33 1 1 -1 -1 -1 1 1 1
 ray 34 1 1 -1 -1 -1 1 -1 -1
-"""
-
-D8_34_9 = (
-    "dim 8\n"
-    + _D8_RAYS
-    + """\
 ctx 1 2 23 26 28 29 32 33
 ctx 1 2 24 25 27 30 31 34
 ctx 3 4 9 13 21 22 25 26
@@ -120,27 +117,6 @@ ctx 7 8 9 11 20 22 29 34
 ctx 7 8 10 14 17 19 28 31
 ctx 9 10 11 12 13 14 15 16
 """
-)
-
-D8_30_9 = (
-    "dim 8\n"
-    + _D8_RAYS
-    + """\
-proj 1+2 1 2
-proj 3+4 3 4
-proj 5+6 5 6
-proj 7+8 7 8
-ctx 1+2 23 26 28 29 32 33
-ctx 1+2 24 25 27 30 31 34
-ctx 3+4 9 13 21 22 25 26
-ctx 3+4 10 16 18 19 23 24
-ctx 5+6 9 12 20 21 30 33
-ctx 5+6 10 15 17 18 27 32
-ctx 7+8 9 11 20 22 29 34
-ctx 7+8 10 14 17 19 28 31
-ctx 9 10 11 12 13 14 15 16
-"""
-)
 
 D5_29_16 = """\
 dim 5
@@ -613,116 +589,4 @@ ctx 3 8 12 16 17 18
 ctx 4 9 13 16 19 20
 ctx 5 10 14 17 19 21
 ctx 6 11 15 18 20 21
-"""
-D10_39_9 = """\
-dim 10
-ray a1 1 0 0 0 0 0 0 0 0 0
-ray a2 0 1 0 0 0 0 0 0 0 0
-ray a3 0 0 1 0 0 0 0 0 0 0
-ray a4 1 1 1 1 0 0 0 0 0 0
-ray a5 1 1 1 -1 0 0 0 0 0 0
-ray a6 1 -1 1 1 0 0 0 0 0 0
-ray a7 1 -1 1 -1 0 0 0 0 0 0
-ray a8 1 -1 -1 1 0 0 0 0 0 0
-ray a9 1 -1 -1 -1 0 0 0 0 0 0
-ray a10 1 1 0 0 0 0 0 0 0 0
-ray a11 1 0 0 1 0 0 0 0 0 0
-ray a12 1 0 0 -1 0 0 0 0 0 0
-ray a13 1 0 -1 0 0 0 0 0 0 0
-ray a14 0 1 0 1 0 0 0 0 0 0
-ray a15 0 1 0 -1 0 0 0 0 0 0
-ray a16 0 1 -1 0 0 0 0 0 0 0
-ray a17 0 0 1 1 0 0 0 0 0 0
-ray a18 0 0 1 -1 0 0 0 0 0 0
-ray b1 0 0 0 0 1 1 1 1 1 1
-ray b2 0 0 0 0 1 1 -z^4 w3 w3 -z^4
-ray b3 0 0 0 0 1 -z^4 1 w3 -z^4 w3
-ray b4 0 0 0 0 1 -z^4 w3 -z^4 w3 1
-ray b5 0 0 0 0 1 w3 w3 1 -z^4 -z^4
-ray b6 0 0 0 0 1 w3 -z^4 -z^4 1 w3
-ray b7 0 0 0 0 1 1 w3 -z^4 -z^4 w3
-ray b8 0 0 0 0 1 w3 1 -z^4 w3 -z^4
-ray b9 0 0 0 0 1 w3 -z^4 w3 -z^4 1
-ray b10 0 0 0 0 1 -z^4 -z^4 1 w3 w3
-ray b11 0 0 0 0 1 -z^4 w3 w3 1 -z^4
-ray b12 0 0 0 0 1 -z^4 -z^4 -z^4 1 1
-ray b13 0 0 0 0 1 -z^4 1 1 -z^4 -z^4
-ray b14 0 0 0 0 1 w3 1 w3 1 w3
-ray b15 0 0 0 0 1 w3 w3 1 w3 1
-ray b16 0 0 0 0 1 w3 w3 1 1 w3
-ray b17 0 0 0 0 1 1 w3 w3 w3 1
-ray b18 0 0 0 0 1 1 -z^4 1 -z^4 -z^4
-ray b19 0 0 0 0 1 1 -z^4 -z^4 1 -z^4
-ray b20 0 0 0 0 1 1 1 w3 w3 w3
-ray b21 0 0 0 0 1 -z^4 1 -z^4 -z^4 1
-ctx a1 a2 a17 a18 b1 b2 b3 b4 b5 b6
-ctx a1 a3 a14 a15 b1 b7 b8 b9 b10 b11
-ctx a2 a3 a11 a12 b2 b7 b12 b13 b14 b15
-ctx a4 a7 a13 a15 b3 b8 b12 b16 b17 b18
-ctx a4 a8 a12 a16 b4 b9 b13 b16 b19 b20
-ctx a5 a6 a13 a14 b5 b10 b14 b17 b19 b21
-ctx a5 a9 a11 a16 b6 b11 b15 b18 b20 b21
-ctx a6 a9 a10 a18 b1 b2 b3 b4 b5 b6
-ctx a7 a8 a10 a17 b1 b2 b3 b4 b5 b6
-"""
-
-D10_30_9 = """\
-dim 10
-ray a1 1 0 0 0 0 0 0 0 0 0
-ray a2 0 1 0 0 0 0 0 0 0 0
-ray a3+b7.1 0 0 1 0 0 0 0 0 0 0
-ray a3+b7.2 0 0 0 0 1 1 w3 -z^4 -z^4 w3
-proj a3+b7 a3+b7.1 a3+b7.2
-ray a4+b16.1 1 1 1 1 0 0 0 0 0 0
-ray a4+b16.2 0 0 0 0 1 w3 w3 1 1 w3
-proj a4+b16 a4+b16.1 a4+b16.2
-ray a5+b21.1 1 1 1 -1 0 0 0 0 0 0
-ray a5+b21.2 0 0 0 0 1 -z^4 1 -z^4 -z^4 1
-proj a5+b21 a5+b21.1 a5+b21.2
-ray a6 1 -1 1 1 0 0 0 0 0 0
-ray a7 1 -1 1 -1 0 0 0 0 0 0
-ray a8 1 -1 -1 1 0 0 0 0 0 0
-ray a9 1 -1 -1 -1 0 0 0 0 0 0
-ray a10 1 1 0 0 0 0 0 0 0 0
-ray a11+b15.1 1 0 0 1 0 0 0 0 0 0
-ray a11+b15.2 0 0 0 0 1 w3 w3 1 w3 1
-proj a11+b15 a11+b15.1 a11+b15.2
-ray a12+b13.1 1 0 0 -1 0 0 0 0 0 0
-ray a12+b13.2 0 0 0 0 1 -z^4 1 1 -z^4 -z^4
-proj a12+b13 a12+b13.1 a12+b13.2
-ray a13+b17.1 1 0 -1 0 0 0 0 0 0 0
-ray a13+b17.2 0 0 0 0 1 1 w3 w3 w3 1
-proj a13+b17 a13+b17.1 a13+b17.2
-ray a14+b10.1 0 1 0 1 0 0 0 0 0 0
-ray a14+b10.2 0 0 0 0 1 -z^4 -z^4 1 w3 w3
-proj a14+b10 a14+b10.1 a14+b10.2
-ray a15+b8.1 0 1 0 -1 0 0 0 0 0 0
-ray a15+b8.2 0 0 0 0 1 w3 1 -z^4 w3 -z^4
-proj a15+b8 a15+b8.1 a15+b8.2
-ray a16+b20.1 0 1 -1 0 0 0 0 0 0 0
-ray a16+b20.2 0 0 0 0 1 1 1 w3 w3 w3
-proj a16+b20 a16+b20.1 a16+b20.2
-ray a17 0 0 1 1 0 0 0 0 0 0
-ray a18 0 0 1 -1 0 0 0 0 0 0
-ray b1 0 0 0 0 1 1 1 1 1 1
-ray b2 0 0 0 0 1 1 -z^4 w3 w3 -z^4
-ray b3 0 0 0 0 1 -z^4 1 w3 -z^4 w3
-ray b4 0 0 0 0 1 -z^4 w3 -z^4 w3 1
-ray b5 0 0 0 0 1 w3 w3 1 -z^4 -z^4
-ray b6 0 0 0 0 1 w3 -z^4 -z^4 1 w3
-ray b9 0 0 0 0 1 w3 -z^4 w3 -z^4 1
-ray b11 0 0 0 0 1 -z^4 w3 w3 1 -z^4
-ray b12 0 0 0 0 1 -z^4 -z^4 -z^4 1 1
-ray b14 0 0 0 0 1 w3 1 w3 1 w3
-ray b18 0 0 0 0 1 1 -z^4 1 -z^4 -z^4
-ray b19 0 0 0 0 1 1 -z^4 -z^4 1 -z^4
-ctx a1 a2 a17 a18 b1 b2 b3 b4 b5 b6
-ctx a1 a3+b7 a14+b10 a15+b8 b1 b9 b11
-ctx a2 a3+b7 a11+b15 a12+b13 b2 b12 b14
-ctx a4+b16 a7 a13+b17 a15+b8 b3 b12 b18
-ctx a4+b16 a8 a12+b13 a16+b20 b4 b9 b19
-ctx a5+b21 a6 a13+b17 a14+b10 b5 b14 b19
-ctx a5+b21 a9 a11+b15 a16+b20 b6 b11 b18
-ctx a6 a9 a10 a18 b1 b2 b3 b4 b5 b6
-ctx a7 a8 a10 a17 b1 b2 b3 b4 b5 b6
 """

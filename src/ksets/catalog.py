@@ -1,15 +1,16 @@
 """Embedded, validated copies of the cataloged sets, addressable by name.
 
-Every entry is stored as set-file text and parsed on first access, so the
-parser is exercised on each load; loading also recomputes the symbol and
-compares it with the recorded one.  The heavier expectations (uncolorable,
-parity, critical) are frozen here as data and exercised by the test suite.
+An entry is stored as set-file text, parsed on first access so that the
+parser is exercised on each load, or as the chain that builds it from other
+entries.  Loading also recomputes the symbol and compares it with the
+recorded one.  The heavier expectations (uncolorable, parity, critical) are
+frozen here as data and exercised by the test suite.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from . import _tables
@@ -33,7 +34,8 @@ class CatalogEntry:
     provenance: str
 
 
-# name -> (text, detailed symbol, parity, strongest criticality mode, origin)
+# name -> (set-file text or chain, detailed symbol, parity, strongest
+# criticality mode, origin)
 _ENTRIES: dict[str, tuple[str, str, bool, Mode, str]] = {
     "d3-49-36": (
         _tables.D3_49_36,
@@ -85,7 +87,7 @@ _ENTRIES: dict[str, tuple[str, str, bool, Mode, str]] = {
         "34-ray all-rank-1 parity set in d=8",
     ),
     "d8-30-9": (
-        _tables.D8_30_9,
+        "merge_rank(d8-34-9)",
         "4^2_2 2^1_4 24^1_2 - 8^8_7 1^8_8",
         True,
         Mode.FULL,
@@ -99,14 +101,14 @@ _ENTRIES: dict[str, tuple[str, str, bool, Mode, str]] = {
         "coordinate-swap extension of d6-21-7 to d=9",
     ),
     "d10-39-9": (
-        _tables.D10_39_9,
+        "pz_improved(d4-18-9, d6-21-7)",
         "6^1_4 33^1_2 - 9^10_10",
         True,
         Mode.FULL,
         "paired direct sum of d4-18-9 and d6-21-7",
     ),
     "d10-30-9": (
-        _tables.D10_30_9,
+        "merge_rank(d10-39-9)",
         "9^2_2 6^1_4 15^1_2 - 6^10_7 3^10_10",
         True,
         Mode.FULL,
@@ -127,9 +129,6 @@ _SEEDS: dict[str, str] = {
     "d6-21-7-basis": _tables.D6_21_7_BASIS,
 }
 
-# Context pairing used to assemble d10-39-9: context k of the 18-9 joins
-# context k of the 21-7 for k < 7, and the two leftovers reuse context 1.
-PAIRING_D4_D6 = (0, 1, 2, 3, 4, 5, 6, 0, 0)
 
 def _sort_key(name: str) -> tuple[int, str]:
     return int(name.split("-")[0][1:]), name
@@ -145,12 +144,18 @@ _CLASS = re.compile(r"(\d+)\^(\d+)_(\d+)")
 @lru_cache(maxsize=None)
 def _load(name: str) -> KSSet:
     if name in _ENTRIES:
-        text = _ENTRIES[name][0]
+        source = _ENTRIES[name][0]
     elif name in _SEEDS:
-        text = _SEEDS[name]
+        source = _SEEDS[name]
     else:
         raise UnknownNameError(f"unknown catalog name {name!r}")
-    return parse(text, name=name)
+    if "\n" in source:
+        return parse(source, name=name)
+    # A one-line source is a chain.  construct imports this module, so
+    # build_chain is imported when a chain is first built.
+    from .construct import build_chain
+    # replace keeps the validation flag and the orthogonality masks.
+    return replace(build_chain(source), name=name)
 
 
 def seed_set(name: str) -> KSSet:
@@ -163,7 +168,7 @@ def get(name: str) -> CatalogEntry:
     """Load, validate and symbol-check the named entry."""
     if name not in _ENTRIES:
         raise UnknownNameError(f"unknown catalog name {name!r}")
-    text, expected_symbol, parity, crit_mode, provenance = _ENTRIES[name]
+    _, expected_symbol, parity, crit_mode, provenance = _ENTRIES[name]
     s = _load(name)
     computed = symbol(s)
     if computed.detailed != expected_symbol:

@@ -290,7 +290,8 @@ def split_ranks(s: KSSet) -> KSSet:
     return out
 
 
-# The most ray entries (n^2 d times the rank sum) rank_scale writes.
+# The most ray entries rank_scale (n^2 d times the rank sum) and ceg (d'
+# times twice the rank sum plus d') write.
 MAX_SCALED_ENTRIES = 1 << 20
 
 
@@ -345,6 +346,12 @@ def ceg(s: KSSet, d_target: int) -> KSSet:
         raise BadDimensionError(
             f"target dimension must satisfy {d} < d' < {2 * d}"
         )
+    entries = d_target * (2 * sum(p.rank for p in s.projectors.values())
+                          + d_target)
+    if entries > MAX_SCALED_ENTRIES:
+        raise BadDimensionError(
+            f"doubling into dimension {d_target} makes {entries} ray "
+            f"entries; the limit is {MAX_SCALED_ENTRIES}")
     delta = d_target - d
     registry = SubspaceIndex()
     amap: dict[str, str] = {}

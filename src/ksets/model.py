@@ -527,10 +527,10 @@ def _overlaps(s: KSSet) -> list[int]:
     groups: dict[frozenset[int], int] = {}
     for i, p in enumerate(s.projectors.values()):
         groups[p.support] = groups.get(p.support, 0) | 1 << i
-    cover = [0] * s.dimension
+    cover: dict[int, int] = {}  # not a list: the dimension may be huge
     for support, bits in groups.items():
         for c in support:
-            cover[c] |= bits
+            cover[c] = cover.get(c, 0) | bits
     near = {support: reduce(or_, map(cover.__getitem__, support), 0)
             for support in groups}
     return [near[p.support] for p in s.projectors.values()]

@@ -139,7 +139,6 @@ def test_criterion_5_paired_sum_reproduction():
     s39 = pz_improved(
         catalog.seed_set("d4-18-9"),
         catalog.seed_set("d6-21-7"),
-        catalog.PAIRING_D4_D6,
     )
     failures = []
     sym39 = symbol(s39)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from ksets import catalog
-from ksets.construct import apply_transform, merge_rank, pz_improved
+from ksets.construct import apply_transform
 from ksets.cyclo import CycNum
 from ksets.errors import UnknownNameError
 from ksets.model import symbol, validate
@@ -89,34 +89,36 @@ def test_parity_flags_exactly():
     }
 
 
-def test_d10_39_9_equals_paired_sum():
-    entry = catalog.get("d10-39-9")
-    built = pz_improved(
-        catalog.seed_set("d4-18-9"),
-        catalog.seed_set("d6-21-7"),
-        catalog.PAIRING_D4_D6,
-    )
-    assert built.n_projectors == entry.set.n_projectors
-    assert built.n_contexts == entry.set.n_contexts
-    assert symbol(built).detailed == entry.expected_symbol
-    assert built == entry.set
+# sha256 of each chain entry's set file, taken while the entries were still
+# stored as set-file text: the chains build those same sets.
+CHAIN_DIGESTS = {
+    "d8-30-9": "75c20fdf4526e13db349edb32c3ee20a78d32325c22baa7cd3bafe0e2debc670",
+    "d10-39-9": "26b35c1b202ef2c5bc1b91da0e3cf5d40c3d7133ee9f0ed3a946eb719529f272",
+    "d10-30-9": "3b960c46c88ab14dfefc921c69109b51fef0d7d1fd6c31e4738d883fa4fcabc9",
+}
 
 
-def test_d10_30_9_is_merge_of_39_9():
-    merged = merge_rank(catalog.get("d10-39-9").set)
-    entry = catalog.get("d10-30-9")
-    assert symbol(merged).detailed == entry.expected_symbol
-    assert merged == entry.set
+@pytest.mark.parametrize("name", CHAIN_DIGESTS)
+def test_chain_entry_serializes_as_pinned(name):
+    import hashlib
+
+    text = serialize(catalog.seed_set(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == CHAIN_DIGESTS[name]
 
 
-def test_d8_30_9_is_merge_of_34_9():
-    merged = merge_rank(catalog.get("d8-34-9").set)
-    entry = catalog.get("d8-30-9")
-    assert symbol(merged).detailed == entry.expected_symbol
-    assert {pid for pid in merged.projectors if "+" in pid} == {
-        "1+2", "3+4", "5+6", "7+8",
-    }
-    assert merged == entry.set
+def test_chain_entries_are_built_not_parsed(monkeypatch):
+    parsed = []
+    real_parse = catalog.parse
+
+    def recording_parse(text, name=None):
+        parsed.append(name)
+        return real_parse(text, name=name)
+
+    monkeypatch.setattr(catalog, "parse", recording_parse)
+    catalog._load.cache_clear()
+    catalog.get.cache_clear()
+    catalog.seed_set("d10-30-9")
+    assert sorted(parsed) == ["d4-18-9", "d6-21-7"]
 
 
 def test_seed_basis_form_matches_21_7_structure(basis21, s21):

@@ -136,6 +136,14 @@ def test_symbol_command(capsys):
     ]
 
 
+def test_symbol_of_a_huge_dimension(capsys, tmp_path):
+    path = tmp_path / "huge.ks"
+    path.write_text("dim 1000000000000\n")
+    code, out, _ = run(capsys, "symbol", str(path))
+    assert code == 0
+    assert out.splitlines()[0] == "compact: 0-0"
+
+
 def test_catalog_list(capsys):
     code, out, _ = run(capsys, "catalog", "list")
     assert code == 0
@@ -261,6 +269,15 @@ def test_construct_ceg(capsys):
     assert code == 0
     s = parse(out)
     assert (s.n_projectors, s.n_contexts) == (45, 15)
+
+
+def test_construct_ceg_too_large_is_invalid_input(capsys, tmp_path):
+    path = tmp_path / "huge.ks"
+    path.write_text("dim 1000000000000\n")
+    code, out, err = run(capsys, "construct", "ceg", str(path), "1000000000001")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: doubling into dimension 1000000000001 makes ")
 
 
 def test_reduce_command(capsys):

@@ -106,7 +106,7 @@ def test_pz_improved_requires_parity(s18):
 
 
 def test_pz_improved_fixture(s18, s21):
-    out = pz_improved(s18, s21, catalog.PAIRING_D4_D6)
+    out = pz_improved(s18, s21)
     sym = symbol(out)
     assert sym.compact == "39-9"
     assert sym.detailed == "6^1_4 33^1_2 - 9^10_10"
@@ -115,7 +115,7 @@ def test_pz_improved_fixture(s18, s21):
 
 
 def test_pz_improved_default_equals_fixture(s18, s21):
-    assert default_pairing(9, 7) == catalog.PAIRING_D4_D6
+    assert default_pairing(9, 7) == (0, 1, 2, 3, 4, 5, 6, 0, 0)
 
 
 def test_pz_improved_flip_mirrors_blocks(s18, s21):
@@ -131,7 +131,7 @@ def test_pz_improved_flip_mirrors_blocks(s18, s21):
 
 
 def test_merge_rank_fixture_pairs(s18, s21):
-    out = merge_rank(pz_improved(s18, s21, catalog.PAIRING_D4_D6))
+    out = merge_rank(pz_improved(s18, s21))
     sym = symbol(out)
     assert sym.compact == "30-9"
     assert sym.detailed == "9^2_2 6^1_4 15^1_2 - 6^10_7 3^10_10"
