@@ -3,11 +3,12 @@
 Implemented methods: zero-padding direct sums with context pairing (the
 first set takes the leading coordinates), the rank-scaling of a whole set
 into block copies, the padded doubling with three pad projectors,
-coordinate-swap doubling over the set's own axis projectors with duplicate
-elimination, and the dimension-table recipes that chain them.  Each is fixed
-by its input sets and target dimension.  The greedy reduction to a critical
-core, reduce_critical, runs beside the search in verify and is re-exported
-here.
+coordinate-swap doubling over the set's own axis projectors, splitting and
+merging ranks, and the dimension-table recipes that chain them.  Each is
+fixed by its input sets and target dimension, and each returns through one
+assembly step, _assemble, which identifies equal subspaces and drops
+repeated members and member sets.  The greedy reduction to a critical core,
+reduce_critical, runs beside the search in verify and is re-exported here.
 
 Each table row writes its constructions down once, as a chain string such
 as ``split_ranks(rank_scale(d6-21-7, 2))``; build_chain runs any such string
@@ -38,6 +39,7 @@ from .model import (
     SubspaceIndex,
     ensure_valid,
 )
+from .setfile import _ray_ids
 # find_assignment and reduce_critical stay bound here: the benchmark's tracer
 # (perfbench/spans.py) looks them up in this module and wraps them in every
 # module that binds them, and its own tests check that.
@@ -48,10 +50,25 @@ def _pad_projector(proj: Projector, prepend: int, append: int) -> Projector:
     return Projector(tuple(r.padded(prepend, append) for r in proj.span))
 
 
-def _axis_ray(dimension: int, coord: int) -> Ray:
-    entries = [ZERO] * dimension
-    entries[coord] = ONE
-    return Ray(entries)
+def _assemble(
+    dimension: int,
+    parts: list[tuple[str, Projector]],
+    contexts: list[Context],
+    name: str | None,
+) -> KSSet:
+    """The validated set of the labelled parts and the contexts over their
+    labels.  Equal subspaces are identified under the first label, each
+    context keeps a member once, and a context whose member set an earlier
+    one has is dropped."""
+    index = SubspaceIndex()
+    first = {label: index.add(label, proj) for label, proj in parts}
+    unique: dict[frozenset[str], Context] = {}
+    for ctx in contexts:
+        members = tuple(dict.fromkeys(map(first.__getitem__, ctx)))
+        unique.setdefault(frozenset(members), members)
+    out = KSSet(dimension, index.table, list(unique.values()), name=name)
+    ensure_valid(out)
+    return out
 
 
 def _direct_sum(
@@ -63,19 +80,16 @@ def _direct_sum(
     (c1, c2) in pairs: s1 occupies the leading block and s2 the trailing
     block."""
     d1, d2 = s1.dimension, s2.dimension
-    projs: dict[str, Projector] = {}
-    for pid, p in s1.projectors.items():
-        projs[f"a{pid}"] = _pad_projector(p, 0, d2)
-    for pid, p in s2.projectors.items():
-        projs[f"b{pid}"] = _pad_projector(p, d1, 0)
+    parts = [(f"a{pid}", _pad_projector(p, 0, d2))
+             for pid, p in s1.projectors.items()]
+    parts += [(f"b{pid}", _pad_projector(p, d1, 0))
+              for pid, p in s2.projectors.items()]
     contexts = [
         tuple(f"a{pid}" for pid in c1) + tuple(f"b{pid}" for pid in c2)
         for c1, c2 in pairs
     ]
-    out = KSSet(d1 + d2, projs, contexts,
-                name=f"{s1.name or 'A'}(+){s2.name or 'B'}")
-    ensure_valid(out)
-    return out
+    return _assemble(d1 + d2, parts, contexts,
+                     f"{s1.name or 'A'}(+){s2.name or 'B'}")
 
 
 def pz_basic(s1: KSSet, s2: KSSet) -> KSSet:
@@ -235,59 +249,42 @@ def optimize_pairing(s1: KSSet, s2: KSSet) -> tuple[int, ...]:
 
 def merge_rank(s: KSSet) -> KSSet:
     """Merge every group of projectors that occur in exactly the same
-    contexts into one projector whose rank is the sum of the group's ranks.
-    Grouping by the full context signature reaches the fixpoint in one pass."""
+    contexts into one projector, labelled by the group's ids joined with
+    "+", whose rank is the sum of the group's ranks.  Grouping by the full
+    context signature reaches the fixpoint in one pass.  Equal subspaces
+    are identified, and a context whose member set repeats an earlier one
+    is dropped."""
     ensure_valid(s)
-    groups: dict[int, list[str]] = {}
-    for pid, sig in s.signatures().items():
-        if sig:  # a projector in no context is left as it is
-            groups.setdefault(sig, []).append(pid)
-    rename: dict[str, str] = {}
-    merged: dict[str, Projector] = {}
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        new_id = "+".join(members)
-        span: tuple[Ray, ...] = ()
-        for pid in members:
-            span += s.projectors[pid].span
-            rename[pid] = new_id
-        merged[new_id] = Projector(span)
-    projs: dict[str, Projector] = {}
-    for pid, proj in s.projectors.items():
-        new_id = rename.get(pid, pid)
-        if new_id not in projs:
-            projs[new_id] = merged.get(new_id, proj)
-    contexts = [
-        tuple(dict.fromkeys(rename.get(pid, pid) for pid in ctx))
-        for ctx in s.contexts
+    sigs = s.signatures()
+    groups: dict[int | str, list[str]] = {}
+    for pid, sig in sigs.items():
+        # A projector in no context (signature 0) is left as it is.
+        groups.setdefault(sig or pid, []).append(pid)
+    label = {sig: "+".join(members) for sig, members in groups.items()}
+    parts = [
+        (label[sig], s.projectors[members[0]] if len(members) == 1 else
+         Projector(tuple(r for pid in members for r in s.projectors[pid].span)))
+        for sig, members in groups.items()
     ]
-    out = KSSet(s.dimension, projs, contexts, name=s.name)
-    ensure_valid(out)
-    return out
+    contexts = [tuple(label[sigs[pid]] for pid in ctx) for ctx in s.contexts]
+    return _assemble(s.dimension, parts, contexts, s.name)
 
 
 def split_ranks(s: KSSet) -> KSSet:
     """Replace every higher-rank projector by its recorded span rays as
-    individual rank-1 projectors."""
+    individual rank-1 projectors, under the ids a set file gives those rays
+    (p.1 ... p.r for a projector p).  Equal subspaces are identified, and a
+    context whose member set repeats an earlier one is dropped."""
     ensure_valid(s)
-    registry = SubspaceIndex()
-    expansion: dict[str, list[str]] = {}
-    for pid, proj in s.projectors.items():
-        if proj.rank == 1:
-            expansion[pid] = [registry.add(pid, proj)]
-        else:
-            ids = []
-            for k, ray in enumerate(proj.span, start=1):
-                ids.append(registry.add(f"{pid}.{k}", Projector((ray,))))
-            expansion[pid] = ids
-    contexts = [
-        tuple(dict.fromkeys(nid for pid in ctx for nid in expansion[pid]))
-        for ctx in s.contexts
+    ray_ids = _ray_ids(s)
+    parts = [
+        (rid, proj if proj.rank == 1 else Projector((ray,)))
+        for pid, proj in s.projectors.items()
+        for rid, ray in zip(ray_ids[pid], proj.span)
     ]
-    out = KSSet(s.dimension, registry.table, contexts, name=s.name)
-    ensure_valid(out)
-    return out
+    contexts = [tuple(rid for pid in ctx for rid in ray_ids[pid])
+                for ctx in s.contexts]
+    return _assemble(s.dimension, parts, contexts, s.name)
 
 
 # The most ray entries rank_scale (n^2 d times the rank sum) and ceg (d'
@@ -311,24 +308,12 @@ def rank_scale(s: KSSet, n: int) -> KSSet:
         raise BadDimensionError(
             f"scaling by {n} makes {entries} ray entries in dimension "
             f"{n * d}; the limit is {MAX_SCALED_ENTRIES}")
-    projs: dict[str, Projector] = {}
-    for pid, proj in s.projectors.items():
-        projs[pid] = Projector(tuple(
-            r.padded(k * d, (n - 1 - k) * d) for k in range(n) for r in proj.span
-        ))
-    out = KSSet(n * d, projs, [tuple(c) for c in s.contexts],
-                name=f"{s.name or 'S'}(scale{n})")
-    ensure_valid(out)
-    return out
-
-
-def _unique_contexts(contexts: list[Context]) -> list[Context]:
-    """The contexts in order, each member set kept at its first occurrence
-    only."""
-    unique: dict[frozenset[str], Context] = {}
-    for ctx in contexts:
-        unique.setdefault(frozenset(ctx), ctx)
-    return list(unique.values())
+    parts = [
+        (pid, Projector(tuple(r.padded(k * d, (n - 1 - k) * d)
+                              for k in range(n) for r in proj.span)))
+        for pid, proj in s.projectors.items()
+    ]
+    return _assemble(n * d, parts, s.contexts, f"{s.name or 'S'}(scale{n})")
 
 
 def ceg(s: KSSet, d_target: int) -> KSSet:
@@ -353,31 +338,19 @@ def ceg(s: KSSet, d_target: int) -> KSSet:
             f"doubling into dimension {d_target} makes {entries} ray "
             f"entries; the limit is {MAX_SCALED_ENTRIES}")
     delta = d_target - d
-    registry = SubspaceIndex()
-    amap: dict[str, str] = {}
-    bmap: dict[str, str] = {}
-    for pid, proj in s.projectors.items():
-        amap[pid] = registry.add(f"a{pid}", _pad_projector(proj, 0, delta))
-    for pid, proj in s.projectors.items():
-        bmap[pid] = registry.add(f"b{pid}", _pad_projector(proj, delta, 0))
-    pad_left = registry.add(
-        "padL", Projector(tuple(_axis_ray(d_target, i) for i in range(delta)))
-    )
-    pad_center = registry.add(
-        "padC", Projector(tuple(_axis_ray(d_target, i) for i in range(delta, d)))
-    )
-    pad_right = registry.add(
-        "padR", Projector(tuple(_axis_ray(d_target, i) for i in range(d, d_target)))
-    )
-    contexts: list[tuple[str, ...]] = [(pad_left, pad_center, pad_right)]
-    for ctx in s.contexts:
-        contexts.append(tuple(amap[pid] for pid in ctx) + (pad_right,))
-    for ctx in s.contexts:
-        contexts.append(tuple(bmap[pid] for pid in ctx) + (pad_left,))
-    out = KSSet(d_target, registry.table, _unique_contexts(contexts),
-                name=f"{s.name or 'S'}(ceg{d_target})")
-    ensure_valid(out)
-    return out
+    parts = [(f"a{pid}", _pad_projector(proj, 0, delta))
+             for pid, proj in s.projectors.items()]
+    parts += [(f"b{pid}", _pad_projector(proj, delta, 0))
+              for pid, proj in s.projectors.items()]
+    unit = Ray((ONE,))
+    for label, axes in (("padL", range(delta)), ("padC", range(delta, d)),
+                        ("padR", range(d, d_target))):
+        rays = tuple(unit.padded(i, d_target - 1 - i) for i in axes)
+        parts.append((label, Projector(rays)))
+    contexts = [("padL", "padC", "padR")]
+    contexts += [tuple(f"a{pid}" for pid in ctx) + ("padR",) for ctx in s.contexts]
+    contexts += [tuple(f"b{pid}" for pid in ctx) + ("padL",) for ctx in s.contexts]
+    return _assemble(d_target, parts, contexts, f"{s.name or 'S'}(ceg{d_target})")
 
 
 def axis_basis_ids(s: KSSet, delta: int) -> list[str]:
@@ -418,29 +391,18 @@ def matsuno(s: KSSet, d_target: int) -> KSSet:
     if any(p.rank > 1 for p in s.projectors.values()):
         s = split_ranks(s)
     delta = d_target - d
-    v_ids = axis_basis_ids(s, delta)
-
-    registry = SubspaceIndex()
-    amap: dict[str, str] = {}
-    for pid, proj in s.projectors.items():
-        amap[pid] = registry.add(pid, _pad_projector(proj, 0, delta))
-    tmap: dict[str, str] = {}
+    v_ids = tuple(axis_basis_ids(s, delta))
+    parts = [(pid, _pad_projector(proj, 0, delta))
+             for pid, proj in s.projectors.items()]
     for pid, proj in s.projectors.items():
         # The ray padded by delta zeros, its first and last delta entries swapped.
         e = proj.span[0].entries
-        image = Projector((Ray((ZERO,) * delta + e[delta:] + e[:delta]),))
-        tmap[pid] = registry.add(f"{pid}'", image)
-    t_of_v = tuple(tmap[pid] for pid in v_ids)
-    v_members = tuple(amap[pid] for pid in v_ids)
-    contexts: list[tuple[str, ...]] = []
-    for ctx in s.contexts:
-        contexts.append(tuple(amap[pid] for pid in ctx) + t_of_v)
-    for ctx in s.contexts:
-        contexts.append(tuple(tmap[pid] for pid in ctx) + v_members)
-    out = KSSet(d_target, registry.table, _unique_contexts(contexts),
-                name=f"{s.name or 'S'}(swap{d_target})")
-    ensure_valid(out)
-    return out
+        image = Ray((ZERO,) * delta + e[delta:] + e[:delta])
+        parts.append((f"{pid}'", Projector((image,))))
+    t_of_v = tuple(f"{pid}'" for pid in v_ids)
+    contexts = [tuple(ctx) + t_of_v for ctx in s.contexts]
+    contexts += [tuple(f"{pid}'" for pid in ctx) + v_ids for ctx in s.contexts]
+    return _assemble(d_target, parts, contexts, f"{s.name or 'S'}(swap{d_target})")
 
 
 def apply_transform(s: KSSet, matrix: list[list[CycNum]]) -> KSSet:
@@ -478,13 +440,9 @@ def apply_transform(s: KSSet, matrix: list[list[CycNum]]) -> KSSet:
             out.append(acc)
         return Ray(out)
 
-    projs = {
-        pid: Projector(tuple(apply(r) for r in proj.span))
-        for pid, proj in s.projectors.items()
-    }
-    out = KSSet(d, projs, [tuple(c) for c in s.contexts], name=s.name)
-    ensure_valid(out)
-    return out
+    parts = [(pid, Projector(tuple(apply(r) for r in proj.span)))
+             for pid, proj in s.projectors.items()]
+    return _assemble(d, parts, s.contexts, s.name)
 
 
 # The constructions and their operands: SET is a set, N and D are integers.

@@ -10,13 +10,13 @@ Orthogonality is one boolean test, orthogonal: inside the packing bound of
 inner it asks whether the packed residue of the product is zero, which it
 is exactly when the product is, and never unpacks it.  inner is left to the
 callers that need the value.  Equal subspaces are found through one hash
-index, SubspaceIndex, shared by validate and the constructions.  A subspace
-of any rank, a single ray included, is keyed by its rank and one residue,
-w'^T P w mod N for its orthogonal projector P and two fixed probe vectors,
-computed once per projector (Projector.key), and a key match is confirmed
-exactly by Pythagoras: a vector lies in a span when its projection keeps
-all of its norm.  Rays compare as rank-1 projectors, through
-projector_equal.
+index, SubspaceIndex, shared by validate and construct._assemble, the step
+every construction builds its output through.  A subspace of any rank, a
+single ray included, is keyed by its rank and one residue, w'^T P w mod N
+for its orthogonal projector P and two fixed probe vectors, computed once
+per projector (Projector.key), and a key match is confirmed exactly by
+Pythagoras: a vector lies in a span when its projection keeps all of its
+norm.  Rays compare as rank-1 projectors, through projector_equal.
 The full orthogonality relation of a set is computed once, as one integer
 bitmask per projector; it takes pairs with disjoint supports and pairs that
 validation proved orthogonal in a shared context without a product, and
@@ -344,7 +344,8 @@ def _subspace_key(proj: Projector) -> Hashable | None:
 
 
 class SubspaceIndex:
-    """Projectors stored by id, at most one per subspace.
+    """Projectors stored by id, at most one per subspace: validate finds
+    equal subspaces with one, and construct._assemble identifies them.
 
     Each projector is looked up by its key (_subspace_key), so the spans
     must be orthogonal, and a key match is confirmed with projector_equal.  A

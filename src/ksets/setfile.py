@@ -134,28 +134,39 @@ def parse(text: str, name: str | None = None) -> KSSet:
     return s
 
 
+def _ray_ids(s: KSSet) -> dict[str, list[str]]:
+    """The ids of every projector's rays in a set file: a rank-1 projector's
+    own id, and p.1 ... p.r for a projector p of rank r, each primed (')
+    until no projector has it.  Two ids made so never meet: without their
+    primes, they differ in p or in k."""
+
+    def unused(rid: str) -> str:
+        while rid in s.projectors:
+            rid += "'"
+        return rid
+
+    return {pid: [pid] if proj.rank == 1 else
+            [unused(f"{pid}.{k}") for k in range(1, proj.rank + 1)]
+            for pid, proj in s.projectors.items()}
+
+
 def serialize(s: KSSet) -> str:
     """Canonical text for a validated set.
 
     Rank-1 projectors become single ray lines under their own id; a rank-r
-    projector emits its span rays as '<id>.1' ... '<id>.r' followed by a
-    proj line.  Contexts keep their stored order.
+    projector emits its span rays, under the ids _ray_ids gives them,
+    followed by a proj line.  Contexts keep their stored order.
     """
     lines = [f"dim {s.dimension}"]
     if s.name:
         lines.insert(0, f"# {s.name}")
+    ray_ids = _ray_ids(s)
     for pid, proj in s.projectors.items():
-        if proj.rank == 1:
-            entries = " ".join(render_scalar(e) for e in proj.span[0].entries)
-            lines.append(f"ray {pid} {entries}")
-        else:
-            members = []
-            for k, ray in enumerate(proj.span, start=1):
-                rid = f"{pid}.{k}"
-                entries = " ".join(render_scalar(e) for e in ray.entries)
-                lines.append(f"ray {rid} {entries}")
-                members.append(rid)
-            lines.append(f"proj {pid} {' '.join(members)}")
+        for rid, ray in zip(ray_ids[pid], proj.span):
+            entries = " ".join(render_scalar(e) for e in ray.entries)
+            lines.append(f"ray {rid} {entries}")
+        if proj.rank > 1:
+            lines.append(f"proj {pid} {' '.join(ray_ids[pid])}")
     for ctx in s.contexts:
         lines.append(f"ctx {' '.join(ctx)}")
     return "\n".join(lines) + "\n"

@@ -168,6 +168,37 @@ def test_split_inverts_merge_counts():
     assert symbol(split).compact == "34-9"
 
 
+def test_merge_rank_identifies_merged_groups_with_equal_subspaces():
+    # a+b and c+d both span the whole plane: one projector, one context.
+    s = setfile.parse(
+        "dim 2\nray a 1 0\nray b 0 1\nray c 1 1\nray d 1 -1\n"
+        "ctx a b\nctx c d\n")
+    assert setfile.serialize(merge_rank(s)) == (
+        "dim 2\nray a+b.1 1 0\nray a+b.2 0 1\nproj a+b a+b.1 a+b.2\n"
+        "ctx a+b\n")
+
+
+def test_split_ranks_drops_a_repeated_member_set():
+    # P = <e1, e2> splits into e1 and e2, which y and z already are, so
+    # both contexts become {P.1, P.2, x}.
+    s = setfile.parse(
+        "dim 3\nray P.1 1 0 0\nray P.2 0 1 0\nproj P P.1 P.2\n"
+        "ray x 0 0 1\nray y 1 0 0\nray z 0 1 0\nctx P x\nctx y z x\n")
+    assert setfile.serialize(split_ranks(s)) == (
+        "dim 3\nray P.1 1 0 0\nray P.2 0 1 0\nray x 0 0 1\n"
+        "ctx P.1 P.2 x\n")
+
+
+def test_split_ranks_names_rays_as_the_set_file_does():
+    # The span rays of p cannot take the id p.1, which a rank-1 projector has.
+    s = setfile.parse(
+        "dim 3\nray a 1 0 0\nray b 0 1 0\nproj p a b\nray p.1 0 0 1\n"
+        "ctx p p.1\n")
+    out = split_ranks(s)
+    assert list(out.projectors) == ["p.1'", "p.2", "p.1"]
+    assert out.contexts == [("p.1'", "p.2", "p.1")]
+
+
 def test_optimize_pairing_self_identity(s21):
     best = optimize_pairing(s21, s21)
     assert best == (0, 1, 2, 3, 4, 5, 6)
@@ -624,6 +655,34 @@ def test_table_build_graphs_are_pinned():
         repr(orthogonality_graph(build_chain(chain))) for chain in chains)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "6c8f0208ca7da3bf46fa3d1e93b0ce2f8059c7e409dae5b235e6991a14d0a306")
+
+
+def _digest(sets) -> str:
+    text = "\0".join(setfile.serialize(s) for s in sets)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_table_builds_serialize_as_pinned():
+    # Ids, spans and context order of every table build, in the order of
+    # test_table_build_graphs_are_pinned; taken before the constructions
+    # shared one assembly step.
+    chains = [
+        chain
+        for d in range(3, 25)
+        for recipe in table_recipe(d)
+        for chain in (recipe.general_chain, recipe.rank1_chain)
+        if chain
+    ]
+    assert len(chains) == 112
+    assert _digest(build_chain(chain) for chain in chains) == (
+        "59e85ab10aaed14f7d9b566f3ece2d2c21eb7119377f6c5e5860abab596dafb0")
+
+
+def test_direct_sum_and_transform_serialize_as_pinned(s18, s21):
+    rotation = [[CycNum.from_rational(x) for x in row] for row in
+                ([3, -4, 0, 0], [4, 3, 0, 0], [0, 0, 5, 0], [0, 0, 0, 5])]
+    assert _digest([pz_basic(s18, s21), apply_transform(s18, rotation)]) == (
+        "2ca40ac3199e0107a7cee38bf6c51207e4053bde44b3b19e8adc59ae74048052")
 
 
 def test_table_rank1_six_n_scaling():

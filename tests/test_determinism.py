@@ -1,6 +1,7 @@
 """Source guards on the package: no module imports random, as the README
-promises that no probabilistic step enters any decision, and every name the
-package exports resolves."""
+promises that no probabilistic step enters any decision, the constructions
+make their sets in one place, and every name the package exports
+resolves."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import ast
 from pathlib import Path
 
 import ksets
+from ksets import construct
 
 
 def test_no_module_imports_random():
@@ -22,6 +24,26 @@ def test_no_module_imports_random():
                 continue
             if any(n.split(".")[0] == "random" for n in names):
                 offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders
+
+
+def test_constructions_build_sets_only_through_assemble():
+    # Every construction returns through construct._assemble, which owns the
+    # one SubspaceIndex that identifies equal subspaces.
+    tree = ast.parse(Path(construct.__file__).read_text(encoding="utf-8"))
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_assemble":
+            inside = {id(n) for n in ast.walk(node)}
+    assert inside, "construct._assemble is missing"
+    offenders = [
+        f"construct.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("KSSet", "SubspaceIndex")
+        and id(node) not in inside
+    ]
     assert not offenders, offenders
 
 

@@ -121,6 +121,17 @@ def test_round_trip_preserves_higher_ranks():
     assert again == s
 
 
+def test_round_trip_when_a_ray_id_looks_like_a_span_ray_id():
+    # The span rays of p would be p.1 and p.2, but a rank-1 projector is
+    # already called p.1.
+    s = parse("dim 3\nray a 1 0 0\nray b 0 1 0\nproj p a b\nray p.1 0 0 1\n"
+              "ctx p p.1\n")
+    text = serialize(s)
+    assert text == ("dim 3\nray p.1' 1 0 0\nray p.2 0 1 0\nproj p p.1' p.2\n"
+                    "ray p.1 0 0 1\nctx p p.1\n")
+    assert parse(text) == s
+
+
 def test_serialize_renders_minimal_scalars():
     s = parse("dim 2\nray a 1 1/2\nray b 1 -2\nctx a b\n")
     text = serialize(s)
