@@ -1,15 +1,14 @@
 """Embedded, validated copies of the cataloged sets, addressable by name.
 
-An entry is stored as set-file text, parsed on first access so that the
-parser is exercised on each load, or as the chain that builds it from other
-entries.  Loading also recomputes the symbol and compares it with the
-recorded one.  The heavier expectations (uncolorable, parity, critical) are
-frozen here as data and exercised by the test suite.
+An entry or seed is stored as set-file text, parsed on first access so
+that the parser is exercised on each load, or as the chain that builds it
+from other entries.  Every load recomputes the symbol and compares it with
+the recorded one.  The heavier expectations (uncolorable, parity, critical)
+are frozen here as data and exercised by the test suite.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -123,10 +122,10 @@ _ENTRIES: dict[str, tuple[str, str, bool, Mode, str]] = {
     ),
 }
 
-# Construction seeds that are not standalone catalog entries.
-_SEEDS: dict[str, str] = {
-    "d4-18-9-rot": _tables.D4_18_9_ROT,
-    "d6-21-7-basis": _tables.D6_21_7_BASIS,
+# Construction seeds, not catalog entries: name -> (set-file text, symbol).
+_SEEDS: dict[str, tuple[str, str]] = {
+    "d4-18-9-rot": (_tables.D4_18_9_ROT, "18^1_2 - 9^4_4"),
+    "d6-21-7-basis": (_tables.D6_21_7_BASIS, "21^1_2 - 7^6_6"),
 }
 
 
@@ -137,53 +136,48 @@ def _sort_key(name: str) -> tuple[int, str]:
 NAMES = tuple(sorted(_ENTRIES, key=_sort_key))
 SEED_NAMES = tuple(sorted(_SEEDS))
 
-# One class of a detailed symbol: count^superscript_subscript.
-_CLASS = re.compile(r"(\d+)\^(\d+)_(\d+)")
-
 
 @lru_cache(maxsize=None)
 def _load(name: str) -> KSSet:
-    if name in _ENTRIES:
-        source = _ENTRIES[name][0]
-    elif name in _SEEDS:
-        source = _SEEDS[name]
-    else:
+    record = _ENTRIES.get(name) or _SEEDS.get(name)
+    if record is None:
         raise UnknownNameError(f"unknown catalog name {name!r}")
+    source, recorded = record[:2]
     if "\n" in source:
-        return parse(source, name=name)
-    # A one-line source is a chain.  construct imports this module, so
-    # build_chain is imported when a chain is first built.
-    from .construct import build_chain
-    # replace keeps the validation flag and the orthogonality masks.
-    return replace(build_chain(source), name=name)
+        s = parse(source, name=name)
+    else:
+        # A one-line source is a chain.  construct imports this module, so
+        # build_chain is imported when a chain is first built.
+        from .construct import build_chain
+        # replace keeps the validation flag and the orthogonality masks.
+        s = replace(build_chain(source), name=name)
+    computed = symbol(s).detailed
+    if computed != recorded:
+        raise ValidationError(ValidationReport([
+            f"{name}: computed symbol {computed!r} does not match "
+            f"recorded {recorded!r}"]))
+    return s
 
 
 def seed_set(name: str) -> KSSet:
-    """A validated set for any entry or construction-seed name."""
+    """The validated, symbol-checked set of any entry or seed name."""
     return _load(name)
 
 
 @lru_cache(maxsize=None)
 def get(name: str) -> CatalogEntry:
-    """Load, validate and symbol-check the named entry."""
+    """The named entry: its set as seed_set loads it, with the recorded
+    expectations."""
     if name not in _ENTRIES:
         raise UnknownNameError(f"unknown catalog name {name!r}")
     _, expected_symbol, parity, crit_mode, provenance = _ENTRIES[name]
     s = _load(name)
-    computed = symbol(s)
-    if computed.detailed != expected_symbol:
-        report = ValidationReport()
-        report.add(
-            f"{name}: computed symbol {computed.detailed!r} does not match "
-            f"recorded {expected_symbol!r}"
-        )
-        raise ValidationError(report)
     return CatalogEntry(
         name=name,
         dimension=s.dimension,
         set=s,
         expected_symbol=expected_symbol,
-        expected_compact=computed.compact,
+        expected_compact=f"{s.n_projectors}-{s.n_contexts}",
         expected_ks=True,
         expected_parity=parity,
         expected_critical=True,
@@ -194,17 +188,11 @@ def get(name: str) -> CatalogEntry:
 
 def listing() -> list[tuple[str, int, str]]:
     """(name, dimension, compact symbol) of every entry in NAMES order, read
-    from the recorded detailed symbols without parsing any set: the compact
-    symbol counts the projectors of the ray classes and the contexts of the
-    context classes, whose superscript is the dimension."""
+    from the entry names dK-R-B without loading any set."""
     out = []
     for name in NAMES:
-        rays, contexts = _ENTRIES[name][1].split(" - ")
-        ray_classes = _CLASS.findall(rays)
-        ctx_classes = _CLASS.findall(contexts)
-        n_projectors = sum(int(count) for count, _, _ in ray_classes)
-        n_contexts = sum(int(count) for count, _, _ in ctx_classes)
-        out.append((name, int(ctx_classes[0][1]), f"{n_projectors}-{n_contexts}"))
+        dimension, n_projectors, n_contexts = name[1:].split("-")
+        out.append((name, int(dimension), f"{n_projectors}-{n_contexts}"))
     return out
 
 

@@ -39,7 +39,7 @@ from .model import (
     SubspaceIndex,
     ensure_valid,
 )
-from .setfile import _ray_ids
+from .setfile import _fresh, _ray_ids
 # find_assignment and reduce_critical stay bound here: the benchmark's tracer
 # (perfbench/spans.py) looks them up in this module and wraps them in every
 # module that binds them, and its own tests check that.
@@ -250,17 +250,20 @@ def optimize_pairing(s1: KSSet, s2: KSSet) -> tuple[int, ...]:
 def merge_rank(s: KSSet) -> KSSet:
     """Merge every group of projectors that occur in exactly the same
     contexts into one projector, labelled by the group's ids joined with
-    "+", whose rank is the sum of the group's ranks.  Grouping by the full
-    context signature reaches the fixpoint in one pass.  Equal subspaces
-    are identified, and a context whose member set repeats an earlier one
-    is dropped."""
+    "+" and made _fresh against the ids in use, whose rank is the sum of
+    the group's ranks.  Grouping by the full context signature reaches the
+    fixpoint in one pass.  Equal subspaces are identified, and a context
+    whose member set repeats an earlier one is dropped."""
     ensure_valid(s)
     sigs = s.signatures()
     groups: dict[int | str, list[str]] = {}
     for pid, sig in sigs.items():
         # A projector in no context (signature 0) is left as it is.
         groups.setdefault(sig or pid, []).append(pid)
-    label = {sig: "+".join(members) for sig, members in groups.items()}
+    taken = set(s.projectors)
+    label = {sig: members[0] if len(members) == 1 else
+             _fresh("+".join(members), taken)
+             for sig, members in groups.items()}
     parts = [
         (label[sig], s.projectors[members[0]] if len(members) == 1 else
          Projector(tuple(r for pid in members for r in s.projectors[pid].span)))
@@ -394,14 +397,16 @@ def matsuno(s: KSSet, d_target: int) -> KSSet:
     v_ids = tuple(axis_basis_ids(s, delta))
     parts = [(pid, _pad_projector(proj, 0, delta))
              for pid, proj in s.projectors.items()]
+    taken = set(s.projectors)
+    swapped = {pid: _fresh(f"{pid}'", taken) for pid in s.projectors}
     for pid, proj in s.projectors.items():
         # The ray padded by delta zeros, its first and last delta entries swapped.
         e = proj.span[0].entries
         image = Ray((ZERO,) * delta + e[delta:] + e[:delta])
-        parts.append((f"{pid}'", Projector((image,))))
-    t_of_v = tuple(f"{pid}'" for pid in v_ids)
+        parts.append((swapped[pid], Projector((image,))))
+    t_of_v = tuple(swapped[pid] for pid in v_ids)
     contexts = [tuple(ctx) + t_of_v for ctx in s.contexts]
-    contexts += [tuple(f"{pid}'" for pid in ctx) + v_ids for ctx in s.contexts]
+    contexts += [tuple(swapped[pid] for pid in ctx) + v_ids for ctx in s.contexts]
     return _assemble(d_target, parts, contexts, f"{s.name or 'S'}(swap{d_target})")
 
 

@@ -206,21 +206,6 @@ class CycNum:
         return CycNum([c * x.den for c in cofactor.num],
                       cofactor.den * x.num[0])
 
-    def __truediv__(self, other: CycNum) -> CycNum:
-        return self * other.inv()
-
-    def __pow__(self, k: int) -> CycNum:
-        if k < 0:
-            return self.inv() ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     # -- structural ---------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -134,19 +134,22 @@ def parse(text: str, name: str | None = None) -> KSSet:
     return s
 
 
+def _fresh(label: str, taken: set[str]) -> str:
+    """label primed (') until taken does not hold it; the result is added to
+    taken."""
+    while label in taken:
+        label += "'"
+    taken.add(label)
+    return label
+
+
 def _ray_ids(s: KSSet) -> dict[str, list[str]]:
     """The ids of every projector's rays in a set file: a rank-1 projector's
-    own id, and p.1 ... p.r for a projector p of rank r, each primed (')
-    until no projector has it.  Two ids made so never meet: without their
-    primes, they differ in p or in k."""
-
-    def unused(rid: str) -> str:
-        while rid in s.projectors:
-            rid += "'"
-        return rid
-
+    own id, and p.1 ... p.r for a projector p of rank r, each made _fresh
+    against the projector ids and the ray ids before it."""
+    taken = set(s.projectors)
     return {pid: [pid] if proj.rank == 1 else
-            [unused(f"{pid}.{k}") for k in range(1, proj.rank + 1)]
+            [_fresh(f"{pid}.{k}", taken) for k in range(1, proj.rank + 1)]
             for pid, proj in s.projectors.items()}
 
 

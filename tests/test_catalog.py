@@ -1,5 +1,6 @@
 """Catalog integrity: every stored set validates, carries the recorded
-symbol byte-for-byte, and satisfies its recorded property flags."""
+symbol byte-for-byte, and satisfies its recorded property flags; a wrong
+recorded symbol fails every load of the name."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import pytest
 from ksets import catalog
 from ksets.construct import apply_transform
 from ksets.cyclo import CycNum
-from ksets.errors import UnknownNameError
+from ksets.errors import UnknownNameError, ValidationError
 from ksets.model import symbol, validate
 from ksets.setfile import parse, serialize
 from ksets.verify import Mode, is_critical, is_ks, is_parity
@@ -119,6 +120,48 @@ def test_chain_entries_are_built_not_parsed(monkeypatch):
     catalog.get.cache_clear()
     catalog.seed_set("d10-30-9")
     assert sorted(parsed) == ["d4-18-9", "d6-21-7"]
+
+
+@pytest.fixture
+def misrecorded(monkeypatch, request):
+    """The parametrized entry or seed name, recorded with a wrong symbol;
+    both caches are cleared before and after, so the name loads afresh."""
+    name = request.param
+    if name in catalog._ENTRIES:
+        source, recorded, *rest = catalog._ENTRIES[name]
+        monkeypatch.setitem(catalog._ENTRIES, name, (source, recorded + "0", *rest))
+    else:
+        source, recorded = catalog._SEEDS[name]
+        monkeypatch.setitem(catalog._SEEDS, name, (source, recorded + "0"))
+    catalog._load.cache_clear()
+    catalog.get.cache_clear()
+    yield name
+    catalog._load.cache_clear()
+    catalog.get.cache_clear()
+
+
+@pytest.mark.parametrize("misrecorded", ["d4-18-9", "d6-21-7-basis"],
+                         indirect=True)
+def test_a_wrong_recorded_symbol_fails_every_load(misrecorded, capsys):
+    from ksets import cli
+    from ksets.construct import build_chain
+
+    name = misrecorded
+    for argv in (["symbol", name], ["verify", name],
+                 ["construct", "scale", name, "2"]):
+        assert cli.main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert "does not match recorded" in err, argv
+    for chain in (name, f"rank_scale({name}, 2)"):
+        with pytest.raises(ValidationError, match="does not match recorded"):
+            build_chain(chain)
+    with pytest.raises(ValidationError):
+        catalog.seed_set(name)
+    if name in catalog.NAMES:
+        # d10-39-9 is built from d4-18-9.
+        for shown in (name, "d10-39-9"):
+            assert cli.main(["catalog", "show", shown]) == 3, shown
+            capsys.readouterr()
 
 
 def test_seed_basis_form_matches_21_7_structure(basis21, s21):

@@ -31,6 +31,7 @@ from ksets.model import (
     Ray,
     inner,
     orthogonality_graph,
+    projector_equal,
     symbol,
     validate,
 )
@@ -176,6 +177,18 @@ def test_merge_rank_identifies_merged_groups_with_equal_subspaces():
     assert setfile.serialize(merge_rank(s)) == (
         "dim 2\nray a+b.1 1 0\nray a+b.2 0 1\nproj a+b a+b.1 a+b.2\n"
         "ctx a+b\n")
+
+
+def test_merge_rank_primes_a_group_label_a_projector_has():
+    # The group {a, b} would be labelled a+b, which projector a+b already is.
+    s = setfile.parse(
+        "dim 3\nray a 1 0 0\nray b 0 1 0\nray c 0 0 1\nray a+b 1 1 0\n"
+        "ray q 1 -1 0\nray r 1 -1 1\nray t 1 -1 -2\n"
+        "ctx a b c\nctx c a+b q\nctx a+b r t\n")
+    out = merge_rank(s)
+    assert list(out.projectors) == ["a+b'", "c", "a+b", "q", "r+t"]
+    assert out.contexts == [("a+b'", "c"), ("c", "a+b", "q"), ("a+b", "r+t")]
+    assert setfile.parse(setfile.serialize(out)) == out
 
 
 def test_split_ranks_drops_a_repeated_member_set():
@@ -431,6 +444,38 @@ def test_matsuno_basis_21_7(basis21):
     out9 = matsuno(basis21, 9)
     assert (out9.n_projectors, out9.n_contexts) == (39, 13)
     assert is_ks(out7) and is_ks(out9)
+
+
+def test_matsuno_primes_a_copy_label_a_projector_has(basis21):
+    # The swapped copy of projector 1 would be labelled 1', which projector
+    # 3 is after the renaming.
+    def rename(pid):
+        return "1'" if pid == "3" else pid
+
+    renamed = KSSet(6, {rename(pid): p for pid, p in basis21.projectors.items()},
+                    [tuple(map(rename, ctx)) for ctx in basis21.contexts])
+    out = matsuno(renamed, 7)
+    assert (out.n_projectors, out.n_contexts) == (32, 12)
+    assert symbol(out).detailed == symbol(matsuno(basis21, 7)).detailed
+    assert is_ks(out)
+
+
+@pytest.mark.parametrize(("name", "seed", "d"), [
+    ("d5-29-16", "d4-18-9", 5),
+    ("d7-32-12", "d6-21-7-basis", 7),
+    ("d9-39-13", "d6-21-7-basis", 9),
+])
+def test_matsuno_reproduces_the_cataloged_swap_sets(name, seed, d):
+    # Up to ids: the k-th projectors span the same subspace, and the id map
+    # they give sends the contexts onto the cataloged ones.
+    built, stored = matsuno(catalog.seed_set(seed), d), catalog.seed_set(name)
+    assert built.n_projectors == stored.n_projectors
+    ids = dict(zip(built.projectors, stored.projectors))
+    for pid, sid in ids.items():
+        assert projector_equal(built.projectors[pid], stored.projectors[sid])
+    mapped = {frozenset(map(ids.__getitem__, ctx)) for ctx in built.contexts}
+    assert built.n_contexts == stored.n_contexts
+    assert mapped == {frozenset(ctx) for ctx in stored.contexts}
 
 
 def test_matsuno_auto_basis(s18, basis21):

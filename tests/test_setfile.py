@@ -13,7 +13,7 @@ from ksets.errors import (
     UnknownReferenceError,
     ValidationError,
 )
-from ksets.setfile import parse, serialize
+from ksets.setfile import _fresh, parse, serialize
 
 
 def test_parse_embedded_18_9():
@@ -130,6 +130,14 @@ def test_round_trip_when_a_ray_id_looks_like_a_span_ray_id():
     assert text == ("dim 3\nray p.1' 1 0 0\nray p.2 0 1 0\nproj p p.1' p.2\n"
                     "ray p.1 0 0 1\nctx p p.1\n")
     assert parse(text) == s
+
+
+def test_fresh_primes_until_unused_and_takes_the_result():
+    taken = {"x", "x'"}
+    assert _fresh("x", taken) == "x''"
+    assert _fresh("x", taken) == "x" + "'" * 3
+    assert _fresh("y", taken) == "y"
+    assert taken == {"x", "x'", "x''", "x" + "'" * 3, "y"}
 
 
 def test_serialize_renders_minimal_scalars():
