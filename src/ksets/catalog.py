@@ -3,8 +3,9 @@
 An entry or seed is stored as set-file text, parsed on first access so
 that the parser is exercised on each load, or as the chain that builds it
 from other entries.  Every load recomputes the symbol and compares it with
-the recorded one.  The heavier expectations (uncolorable, parity, critical)
-are frozen here as data and exercised by the test suite.
+the recorded one.  Every entry is a KS set, critical in the mode its record
+names; that mode and the parity flag are frozen here as data, and the test
+suite checks all of it.
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ class CatalogEntry:
     set: KSSet
     expected_symbol: str
     expected_compact: str
-    expected_ks: bool
     expected_parity: bool
-    expected_critical: bool
     critical_mode: Mode
     provenance: str
 
@@ -178,9 +177,7 @@ def get(name: str) -> CatalogEntry:
         set=s,
         expected_symbol=expected_symbol,
         expected_compact=f"{s.n_projectors}-{s.n_contexts}",
-        expected_ks=True,
         expected_parity=parity,
-        expected_critical=True,
         critical_mode=crit_mode,
         provenance=provenance,
     )

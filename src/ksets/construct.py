@@ -7,7 +7,11 @@ coordinate-swap doubling over the set's own axis projectors, splitting and
 merging ranks, and the dimension-table recipes that chain them.  Each is
 fixed by its input sets and target dimension, and each returns through one
 assembly step, _assemble, which identifies equal subspaces and drops
-repeated members and member sets.  The greedy reduction to a critical core,
+repeated members and member sets.  The block copies carry their operand's
+orthogonality masks through it: rank_scale keeps its input's graph, and
+split_ranks of rank_scale(S, n), S all rank 1, spreads S's graph over the n
+blocks, so neither output's graph takes a product.  Every output is still
+validated on its own.  The greedy reduction to a critical core,
 reduce_critical, runs beside the search in verify and is re-exported here.
 
 Each table row writes its constructions down once, as a chain string such
@@ -38,6 +42,7 @@ from .model import (
     Ray,
     SubspaceIndex,
     ensure_valid,
+    orthogonality_graph,
 )
 from .setfile import _fresh, _ray_ids
 # find_assignment and reduce_critical stay bound here: the benchmark's tracer
@@ -55,11 +60,14 @@ def _assemble(
     parts: list[tuple[str, Projector]],
     contexts: list[Context],
     name: str | None,
+    orth: tuple[int, ...] | None = None,
 ) -> KSSet:
     """The validated set of the labelled parts and the contexts over their
     labels.  Equal subspaces are identified under the first label, each
     context keeps a member once, and a context whose member set an earlier
-    one has is dropped."""
+    one has is dropped.  orth, the orthogonality masks of the parts in
+    their order when the caller knows them, becomes the set's graph if no
+    subspace was identified."""
     index = SubspaceIndex()
     first = {label: index.add(label, proj) for label, proj in parts}
     unique: dict[frozenset[str], Context] = {}
@@ -68,6 +76,8 @@ def _assemble(
         unique.setdefault(frozenset(members), members)
     out = KSSet(dimension, index.table, list(unique.values()), name=name)
     ensure_valid(out)
+    if orth is not None and len(index.table) == len(parts):
+        out._orth = orth
     return out
 
 
@@ -273,11 +283,32 @@ def merge_rank(s: KSSet) -> KSSet:
     return _assemble(s.dimension, parts, contexts, s.name)
 
 
+def _split_graph(s: KSSet) -> tuple[int, ...] | None:
+    """The orthogonality masks of split_ranks(s) when s is rank_scale(S, n)
+    of an all-rank-1 S, else None.  Ray k of projector i lies in block k
+    and is ray i*n + k of the output.  Rays in different blocks have
+    disjoint supports, and two rays in one block are orthogonal exactly
+    when their projectors are, so ray i*n + k is orthogonal to every ray
+    outside block k and to the block-k rays of s's mask i."""
+    n = s._blocks
+    if n is None or any(p.rank != n for p in s.projectors.values()):
+        return None
+    graph = orthogonality_graph(s)
+    spread = [sum(1 << j * n for j in range(len(graph)) if mask >> j & 1)
+              for mask in graph]
+    block = sum(1 << j * n for j in range(len(graph)))  # the rays of block 0
+    every = (1 << n * len(graph)) - 1
+    return tuple((every ^ block << k) | mask << k
+                 for mask in spread for k in range(n))
+
+
 def split_ranks(s: KSSet) -> KSSet:
     """Replace every higher-rank projector by its recorded span rays as
     individual rank-1 projectors, under the ids a set file gives those rays
     (p.1 ... p.r for a projector p).  Equal subspaces are identified, and a
-    context whose member set repeats an earlier one is dropped."""
+    context whose member set repeats an earlier one is dropped.  The split
+    of rank_scale(S, n), S all rank 1, takes its graph from S's
+    (_split_graph) instead of computing it."""
     ensure_valid(s)
     ray_ids = _ray_ids(s)
     parts = [
@@ -287,7 +318,7 @@ def split_ranks(s: KSSet) -> KSSet:
     ]
     contexts = [tuple(rid for pid in ctx for rid in ray_ids[pid])
                 for ctx in s.contexts]
-    return _assemble(s.dimension, parts, contexts, s.name)
+    return _assemble(s.dimension, parts, contexts, s.name, _split_graph(s))
 
 
 # The most ray entries rank_scale (n^2 d times the rank sum) and ceg (d'
@@ -299,7 +330,9 @@ def rank_scale(s: KSSet, n: int) -> KSSet:
     """Put n block copies of the whole set into orthogonal subspaces; each
     projector becomes the rank-n*r sum of its shifted copies while the
     context structure is unchanged.  n = 1 returns s, a larger n names
-    the output name(scale<n>)."""
+    the output name(scale<n>).  P (x) I_n is orthogonal to Q (x) I_n
+    exactly when P is orthogonal to Q, so the output keeps s's graph, and
+    it records n for split_ranks."""
     ensure_valid(s)
     if n < 1:
         raise BadDimensionError("scale factor must be a positive integer")
@@ -316,7 +349,10 @@ def rank_scale(s: KSSet, n: int) -> KSSet:
                               for k in range(n) for r in proj.span)))
         for pid, proj in s.projectors.items()
     ]
-    return _assemble(n * d, parts, s.contexts, f"{s.name or 'S'}(scale{n})")
+    out = _assemble(n * d, parts, s.contexts, f"{s.name or 'S'}(scale{n})",
+                    orthogonality_graph(s))
+    out._blocks = n
+    return out
 
 
 def ceg(s: KSSet, d_target: int) -> KSSet:
@@ -451,8 +487,9 @@ def apply_transform(s: KSSet, matrix: list[list[CycNum]]) -> KSSet:
 
 
 # The constructions and their operands: SET is a set, N and D are integers.
-# The command line runs each of them; a chain runs all but pz_basic, which
-# no table row uses.
+# `ksets construct` runs the five that cli._CONSTRUCT_METHODS names, all but
+# split_ranks and merge_rank; a chain runs all but pz_basic, which no table
+# row uses.
 OPERANDS = {
     "rank_scale": ("SET", "N"),
     "split_ranks": ("SET",),

@@ -20,8 +20,10 @@ norm.  Rays compare as rank-1 projectors, through projector_equal.
 The full orthogonality relation of a set is computed once, as one integer
 bitmask per projector; it takes pairs with disjoint supports and pairs that
 validation proved orthogonal in a shared context without a product, and
-orthogonality_graph returns the cached tuple of masks.  Which projectors
-share a context is read from KSSet.members() with union_of.
+orthogonality_graph returns the cached tuple of masks.  The block copies of
+construct.rank_scale and split_ranks fill that cache from their operand's
+masks instead, so their graphs take no product.  Which projectors share a
+context is read from KSSet.members() with union_of.
 """
 
 from __future__ import annotations
@@ -128,7 +130,11 @@ Context = tuple[str, ...]
 
 @dataclass(eq=False)
 class KSSet:
-    """A dimension, a table of identified projectors and a context list."""
+    """A dimension, a table of identified projectors and a context list.
+
+    _orth caches the orthogonality masks (orthogonality_graph); a
+    construction may fill it from its operand's masks.  _blocks is n for a
+    set that construct.rank_scale made of n block copies, else None."""
 
     dimension: int
     projectors: dict[str, Projector]
@@ -136,6 +142,7 @@ class KSSet:
     name: str | None = None
     _validated: bool = field(default=False, repr=False)
     _orth: tuple[int, ...] | None = field(default=None, repr=False)
+    _blocks: int | None = field(default=None, repr=False)
 
     @property
     def n_projectors(self) -> int:
@@ -541,7 +548,8 @@ def orthogonality_graph(s: KSSet) -> tuple[int, ...]:
     """The full orthogonality relation, including pairs that never share a
     context, as one bitmask per projector in s.projectors order: bit j of
     entry i is set when projectors i and j are orthogonal.  It is computed
-    once per set and cached; every call returns the same tuple.
+    once per set and cached, unless a construction carried it over from
+    its operand; every call returns the same tuple.
 
     Two kinds of pair are orthogonal without a product: pairs with disjoint
     supports, found by _overlaps, and pairs that share a context,

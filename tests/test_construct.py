@@ -325,9 +325,14 @@ def test_rank_scale_ks_and_context_bijection(s18, n):
 @pytest.mark.parametrize("name", catalog.NAMES)
 def test_rank_scale_keeps_the_orthogonality_graph(name, n):
     # P (x) I_n is orthogonal to Q (x) I_n exactly when P is orthogonal to Q,
-    # so the products of the padded block copies give the seed's graph
+    # so the products of the padded block copies give the seed's graph.
+    # rank_scale carries the seed's masks over; a fresh copy, with no
+    # cached graph, computes them from the products.
     s = catalog.seed_set(name)
-    assert orthogonality_graph(rank_scale(s, n)) == orthogonality_graph(s)
+    scaled = rank_scale(s, n)
+    fresh = setfile.parse(setfile.serialize(scaled))
+    assert orthogonality_graph(fresh) == orthogonality_graph(s)
+    assert orthogonality_graph(scaled) == orthogonality_graph(fresh)
 
 
 def test_rank_scale_rejects_zero(s18):

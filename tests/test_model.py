@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import basis_set, make_ray
 from ksets import catalog, model
-from ksets.construct import build_chain, table_recipe
+from ksets.construct import build_chain, rank_scale, split_ranks, table_recipe
 from ksets.cyclo import (
     OMEGA3, PACK_BASE, PACK_MOD, SQRT2, SQRT3, ZERO, CycNum, pack, zeta,
 )
@@ -264,6 +264,35 @@ def test_graph_matches_the_pairwise_reference(chain):
     masks = orthogonality_graph(s)
     assert not any(m >> i & 1 for i, m in enumerate(masks))
     assert masks == reference_graph(s)
+
+
+_RANK1_NAMES = [
+    name for name in catalog.NAMES
+    if all(p.rank == 1 for p in catalog.seed_set(name).projectors.values())
+]
+
+
+@pytest.mark.parametrize("chain", _GRAPH_CASES + [
+    f"split_ranks(rank_scale({name}, {n}))"
+    for name in _RANK1_NAMES for n in (2, 3)
+])
+def test_carried_graph_matches_the_pairwise_reference(chain):
+    # the built set itself: rank_scale and split_ranks carry their
+    # operand's masks over instead of computing them
+    s = build_chain(chain)
+    assert orthogonality_graph(s) == reference_graph(s)
+
+
+def test_split_block_copies_take_no_product(monkeypatch):
+    seed = catalog.seed_set("d3-49-36")
+    orthogonality_graph(seed)
+    s = split_ranks(rank_scale(seed, 8))
+    assert s.n_projectors == 392
+    calls = []
+    monkeypatch.setattr(model, "projector_orthogonal",
+                        lambda p, q: calls.append(1) or projector_orthogonal(p, q))
+    orthogonality_graph(s)
+    assert calls == []
 
 
 _entry_values = st.integers(min_value=-6, max_value=6)
