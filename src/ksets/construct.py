@@ -7,22 +7,26 @@ coordinate-swap doubling over the set's own axis projectors, splitting and
 merging ranks, and the dimension-table recipes that chain them.  Each is
 fixed by its input sets and target dimension, and each returns through one
 assembly step, _assemble, which identifies equal subspaces and drops
-repeated members and member sets.  The block copies carry their operand's
-orthogonality masks through it: rank_scale keeps its input's graph, and
-split_ranks of rank_scale(S, n), S all rank 1, spreads S's graph over the n
-blocks, so neither output's graph takes a product.  Every output is still
-validated on its own.  The greedy reduction to a critical core,
-reduce_critical, runs beside the search in verify and is re-exported here.
+repeated members and member sets.  Copies of the operand carry its
+orthogonality masks through it: rank_scale keeps its input's graph,
+split_ranks of an all-rank-1 set keeps that set's, split_ranks of
+rank_scale(S, n), S all rank 1, spreads S's graph over the n blocks, and
+ceg takes the pairs inside each of its two copies from its input's graph,
+which leaves its own graph only the pairs across the copies and with its
+pads.  The other constructions' outputs compute their graphs.  The
+greedy reduction to a critical core, reduce_critical, runs beside the
+search in verify and is re-exported here.
 
 Each table row writes its constructions down once, as a chain string such
 as ``split_ranks(rank_scale(d6-21-7, 2))``; build_chain runs any such string
-and is the only way the table builds a set.
+and is the only way the table builds a set.  A construction called on its
+own validates the set it returns; build_chain validates, in full, only the
+set the chain gives, which covers the sets built on the way (see there).
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 from . import catalog
@@ -60,24 +64,32 @@ def _assemble(
     parts: list[tuple[str, Projector]],
     contexts: list[Context],
     name: str | None,
+    deferred: bool,
     orth: tuple[int, ...] | None = None,
+    known: tuple[int, ...] | None = None,
 ) -> KSSet:
-    """The validated set of the labelled parts and the contexts over their
-    labels.  Equal subspaces are identified under the first label, each
-    context keeps a member once, and a context whose member set an earlier
-    one has is dropped.  orth, the orthogonality masks of the parts in
-    their order when the caller knows them, becomes the set's graph if no
-    subspace was identified."""
+    """The set of the labelled parts and the contexts over their labels,
+    validated unless it is deferred, which it is when the operands it was
+    built from are (KSSet._deferred).  Equal subspaces are identified under
+    the first label, each context keeps a member once, and a context whose
+    member set an earlier one has is dropped.  orth, the orthogonality
+    masks of the parts in their order when the caller knows them, becomes
+    the set's graph if no subspace was identified; with known, the pairs
+    it marks (KSSet._partial) are all that orth decides."""
     index = SubspaceIndex()
     first = {label: index.add(label, proj) for label, proj in parts}
     unique: dict[frozenset[str], Context] = {}
     for ctx in contexts:
         members = tuple(dict.fromkeys(map(first.__getitem__, ctx)))
         unique.setdefault(frozenset(members), members)
-    out = KSSet(dimension, index.table, list(unique.values()), name=name)
+    out = KSSet(dimension, index.table, list(unique.values()), name=name,
+                _deferred=deferred)
     ensure_valid(out)
     if orth is not None and len(index.table) == len(parts):
-        out._orth = orth
+        if known is None:
+            out._orth = orth
+        else:
+            out._partial = (orth, known)
     return out
 
 
@@ -99,7 +111,8 @@ def _direct_sum(
         for c1, c2 in pairs
     ]
     return _assemble(d1 + d2, parts, contexts,
-                     f"{s1.name or 'A'}(+){s2.name or 'B'}")
+                     f"{s1.name or 'A'}(+){s2.name or 'B'}",
+                     s1._deferred and s2._deferred)
 
 
 def pz_basic(s1: KSSet, s2: KSSet) -> KSSet:
@@ -115,10 +128,6 @@ def pz_basic(s1: KSSet, s2: KSSet) -> KSSet:
 # larger-B set) to the index pairing[k] of a context of the other set.  Every
 # small context must be used an odd number of times, so multiplicities grow
 # only in even increments and parity is preserved.
-
-# The most contexts optimize_pairing, which tries every pairing, takes in the
-# larger set.
-_PAIRING_SEARCH_LIMIT = 9
 
 
 def default_pairing(b_large: int, b_small: int) -> tuple[int, ...]:
@@ -170,93 +179,6 @@ def pz_improved(
     return _direct_sum(s1, s2, pairs)
 
 
-def _merge_score(large: KSSet, small: KSSet) -> Callable[[Sequence[int]], int]:
-    """Score of a pairing: the number of projectors merge_rank
-    removes from pz_improved(large, small, pairing), from context membership
-    alone.  A small projector then occurs in every large context paired
-    with one of its own, and one projector survives per distinct signature.
-    Projectors in no context (signature 0) are never merged."""
-    large_sigs = [sig for sig in large.signatures().values() if sig]
-    small_sigs = [sig for sig in small.signatures().values() if sig]
-    total = len(large_sigs) + len(small_sigs)
-    large_groups = set(large_sigs)
-    small_groups = [
-        [j for j in range(small.n_contexts) if mask >> j & 1]
-        for mask in set(small_sigs)
-    ]
-
-    def score(pairing: Sequence[int]) -> int:
-        p_inv = [0] * small.n_contexts
-        for k, j in enumerate(pairing):
-            p_inv[j] |= 1 << k
-        groups = set(large_groups)
-        for sig in small_groups:
-            induced = 0
-            for j in sig:
-                induced |= p_inv[j]
-            groups.add(induced)
-        return total - len(groups)
-
-    return score
-
-
-def count_merges(s1: KSSet, s2: KSSet, pairing: tuple[int, ...]) -> int:
-    """Number of projectors eliminated by merge_rank after pz_improved with
-    the given pairing, computed from context membership alone.  The inputs
-    and the pairing are checked as pz_improved checks them."""
-    large, small = _parity_pair(s1, s2)
-    _check_pairing(pairing, large.n_contexts, small.n_contexts)
-    return _merge_score(large, small)(pairing)
-
-
-def optimize_pairing(s1: KSSet, s2: KSSet) -> tuple[int, ...]:
-    """Pairing that maximizes the merged-projector count of
-    merge_rank(pz_improved(s1, s2, pairing)), the first in lexicographic
-    order among equals.
-
-    The search tries every odd-usage pairing, so it is exact; it raises
-    InvalidPairingError when the larger set has more than 9 contexts."""
-    large, small = _parity_pair(s1, s2)
-    b_large, b_small = large.n_contexts, small.n_contexts
-    if b_large > _PAIRING_SEARCH_LIMIT:
-        raise InvalidPairingError(
-            f"optimize_pairing searches every pairing and takes at most "
-            f"{_PAIRING_SEARCH_LIMIT} contexts in the larger set, got {b_large}"
-        )
-    score = _merge_score(large, small)
-    best: tuple[int, tuple[int, ...]] | None = None
-    counts = [0] * b_small
-    slots = [0] * b_large
-
-    def dfs(pos: int, even: int) -> None:
-        """Fill slots[pos:], with even the number of small contexts used an
-        even number of times so far (zero included).  Each of them needs one
-        more use among the slots left, and the slots beyond those must come
-        in pairs."""
-        nonlocal best
-        if pos == b_large:
-            got = score(tuple(slots))
-            if best is None or got > best[0]:
-                best = (got, tuple(slots))
-            return
-        remaining = b_large - pos - 1
-        for j in range(b_small):
-            counts[j] += 1
-            slots[pos] = j
-            needed = even - 1 if counts[j] % 2 else even + 1
-            if needed <= remaining and (remaining - needed) % 2 == 0:
-                dfs(pos + 1, needed)
-            counts[j] -= 1
-        slots[pos] = 0
-
-    dfs(0, b_small)
-    # dfs reaches itself through its closure cell; emptying the cell frees
-    # the closure now instead of at the next cyclic collection.
-    del dfs
-    assert best is not None, "no odd-usage pairing exists"
-    return best[1]
-
-
 def merge_rank(s: KSSet) -> KSSet:
     """Merge every group of projectors that occur in exactly the same
     contexts into one projector, labelled by the group's ids joined with
@@ -280,20 +202,24 @@ def merge_rank(s: KSSet) -> KSSet:
         for sig, members in groups.items()
     ]
     contexts = [tuple(label[sigs[pid]] for pid in ctx) for ctx in s.contexts]
-    return _assemble(s.dimension, parts, contexts, s.name)
+    return _assemble(s.dimension, parts, contexts, s.name, s._deferred)
 
 
 def _split_graph(s: KSSet) -> tuple[int, ...] | None:
     """The orthogonality masks of split_ranks(s) when s is rank_scale(S, n)
-    of an all-rank-1 S, else None.  Ray k of projector i lies in block k
-    and is ray i*n + k of the output.  Rays in different blocks have
-    disjoint supports, and two rays in one block are orthogonal exactly
-    when their projectors are, so ray i*n + k is orthogonal to every ray
-    outside block k and to the block-k rays of s's mask i."""
-    n = s._blocks
-    if n is None or any(p.rank != n for p in s.projectors.values()):
+    of an all-rank-1 S, or all rank 1 itself (n = 1), else None.  An
+    all-rank-1 s splits into its own projectors in its own order, so it
+    keeps its masks.  Otherwise ray k of projector i lies in block k and is
+    ray i*n + k of the output.  Rays in different blocks have disjoint
+    supports, and two rays in one block are orthogonal exactly when their
+    projectors are, so ray i*n + k is orthogonal to every ray outside block
+    k and to the block-k rays of s's mask i."""
+    n = s._blocks or 1
+    if any(p.rank != n for p in s.projectors.values()):
         return None
     graph = orthogonality_graph(s)
+    if n == 1:
+        return graph
     spread = [sum(1 << j * n for j in range(len(graph)) if mask >> j & 1)
               for mask in graph]
     block = sum(1 << j * n for j in range(len(graph)))  # the rays of block 0
@@ -307,8 +233,8 @@ def split_ranks(s: KSSet) -> KSSet:
     individual rank-1 projectors, under the ids a set file gives those rays
     (p.1 ... p.r for a projector p).  Equal subspaces are identified, and a
     context whose member set repeats an earlier one is dropped.  The split
-    of rank_scale(S, n), S all rank 1, takes its graph from S's
-    (_split_graph) instead of computing it."""
+    of an all-rank-1 set, and of rank_scale(S, n) for such an S, takes its
+    graph from its operand's (_split_graph) instead of computing it."""
     ensure_valid(s)
     ray_ids = _ray_ids(s)
     parts = [
@@ -318,7 +244,8 @@ def split_ranks(s: KSSet) -> KSSet:
     ]
     contexts = [tuple(rid for pid in ctx for rid in ray_ids[pid])
                 for ctx in s.contexts]
-    return _assemble(s.dimension, parts, contexts, s.name, _split_graph(s))
+    return _assemble(s.dimension, parts, contexts, s.name, s._deferred,
+                     _split_graph(s))
 
 
 # The most ray entries rank_scale (n^2 d times the rank sum) and ceg (d'
@@ -350,7 +277,7 @@ def rank_scale(s: KSSet, n: int) -> KSSet:
         for pid, proj in s.projectors.items()
     ]
     out = _assemble(n * d, parts, s.contexts, f"{s.name or 'S'}(scale{n})",
-                    orthogonality_graph(s))
+                    s._deferred, orthogonality_graph(s))
     out._blocks = n
     return out
 
@@ -363,7 +290,10 @@ def ceg(s: KSSet, d_target: int) -> KSSet:
     critical.  The count is exactly 2R+3 when no padded projector of one copy
     spans the same subspace as a padded projector of the other copy or as a
     pad projector; equal subspaces are identified, so each such coincidence
-    lowers the count by one."""
+    lowers the count by one.  Each copy is s shifted by 0 or by d' - d, so
+    two projectors of one copy are orthogonal exactly when their sources
+    are: the output takes those pairs from s's graph, and its own graph
+    checks only the pairs across the copies and with the pads."""
     ensure_valid(s)
     d = s.dimension
     if not d < d_target < 2 * d:
@@ -389,7 +319,13 @@ def ceg(s: KSSet, d_target: int) -> KSSet:
     contexts = [("padL", "padC", "padR")]
     contexts += [tuple(f"a{pid}" for pid in ctx) + ("padR",) for ctx in s.contexts]
     contexts += [tuple(f"b{pid}" for pid in ctx) + ("padL",) for ctx in s.contexts]
-    return _assemble(d_target, parts, contexts, f"{s.name or 'S'}(ceg{d_target})")
+    graph = orthogonality_graph(s)
+    r = len(graph)
+    first = (1 << r) - 1  # the a-copies, parts 0 .. r-1
+    orth = (*graph, *(m << r for m in graph), 0, 0, 0)
+    known = (first,) * r + (first << r,) * r + (0, 0, 0)
+    return _assemble(d_target, parts, contexts, f"{s.name or 'S'}(ceg{d_target})",
+                     s._deferred, orth, known)
 
 
 def axis_basis_ids(s: KSSet, delta: int) -> list[str]:
@@ -443,7 +379,8 @@ def matsuno(s: KSSet, d_target: int) -> KSSet:
     t_of_v = tuple(swapped[pid] for pid in v_ids)
     contexts = [tuple(ctx) + t_of_v for ctx in s.contexts]
     contexts += [tuple(swapped[pid] for pid in ctx) + v_ids for ctx in s.contexts]
-    return _assemble(d_target, parts, contexts, f"{s.name or 'S'}(swap{d_target})")
+    return _assemble(d_target, parts, contexts, f"{s.name or 'S'}(swap{d_target})",
+                     s._deferred)
 
 
 def apply_transform(s: KSSet, matrix: list[list[CycNum]]) -> KSSet:
@@ -483,7 +420,7 @@ def apply_transform(s: KSSet, matrix: list[list[CycNum]]) -> KSSet:
 
     parts = [(pid, Projector(tuple(apply(r) for r in proj.span)))
              for pid, proj in s.projectors.items()]
-    return _assemble(d, parts, s.contexts, s.name)
+    return _assemble(d, parts, s.contexts, s.name, s._deferred)
 
 
 # The constructions and their operands: SET is a set, N and D are integers.
@@ -517,9 +454,24 @@ def build_chain(chain: str) -> KSSet:
 
     The set is named after the chain, its whitespace runs made single
     spaces, unless it is a seed the chain names (as rank_scale(s, 1) gives
-    s): catalog sets are shared, so they keep their own names."""
+    s): catalog sets are shared, so they keep their own names.
+
+    Only the set the chain gives is validated, in full; the sets built on
+    the way are not, and no caller sees them.  The steps take deferred
+    copies of the seeds (KSSet._deferred), so they neither check their
+    operands nor the sets they build, and build_chain validates the last
+    one.  That check covers every step: each construction keeps every
+    projector of its operand, padded, shifted, split into its span rays or
+    merged with the projectors that share all its contexts, and every
+    context, extended by projectors orthogonal to it.  So a zero span ray,
+    two non-orthogonal span rays of a projector in some context, a rank
+    sum off the dimension or two non-orthogonal members of a context in a
+    set on the way shows again in the chain's set, and fails its
+    validation.  Each construction also
+    takes valid operands to a valid set, and the seeds are validated when
+    they load."""
     calls: list[tuple[str, list]] = [("", [])]  # open calls and their args
-    seeds: list[KSSet] = []
+    seeds: list[tuple[KSSet, KSSet]] = []  # each seed and its deferred copy
     want_arg = True
     for word, paren, punct in _CHAIN_TOKEN.findall(chain):
         if want_arg and paren:
@@ -535,8 +487,9 @@ def build_chain(chain: str) -> KSSet:
                 raise ChainSyntaxError("number too long in chain") from None
             want_arg = False
         elif want_arg and word:
-            seeds.append(catalog.seed_set(word))
-            calls[-1][1].append(seeds[-1])
+            seed = catalog.seed_set(word)
+            seeds.append((seed, replace(seed, _deferred=True)))
+            calls[-1][1].append(seeds[-1][1])
             want_arg = False
         elif not want_arg and punct == "," and len(calls) > 1:
             want_arg = True
@@ -558,10 +511,15 @@ def build_chain(chain: str) -> KSSet:
     out = calls[0][1][0]
     if not isinstance(out, KSSet):
         raise ChainSyntaxError(f"chain {chain!r} gives no set")
-    if any(out is seed for seed in seeds):
-        return out
-    # replace keeps the validation flag and the orthogonality masks.
-    return replace(out, name=" ".join(chain.split()))
+    for seed, copy in seeds:
+        if seed._orth is None:  # a graph a step computed for the copy
+            seed._orth = copy._orth
+        if out is copy:
+            return seed
+    # replace keeps the orthogonality masks.
+    out = replace(out, name=" ".join(chain.split()), _deferred=False)
+    ensure_valid(out)
+    return out
 
 
 @dataclass

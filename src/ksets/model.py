@@ -22,8 +22,12 @@ bitmask per projector; it takes pairs with disjoint supports and pairs that
 validation proved orthogonal in a shared context without a product, and
 orthogonality_graph returns the cached tuple of masks.  The block copies of
 construct.rank_scale and split_ranks fill that cache from their operand's
-masks instead, so their graphs take no product.  Which projectors share a
-context is read from KSSet.members() with union_of.
+masks instead, so their graphs take no product, and construct.ceg fills in
+the pairs inside each of its copies (KSSet._partial), so its graph checks
+only the rest.  Which projectors share a context is read from
+KSSet.members() with union_of.  Every set is validated before its graph or
+its symbol is read, except the sets a chain builds on the way
+(KSSet._deferred), whose check is the chain output's.
 """
 
 from __future__ import annotations
@@ -133,8 +137,17 @@ class KSSet:
     """A dimension, a table of identified projectors and a context list.
 
     _orth caches the orthogonality masks (orthogonality_graph); a
-    construction may fill it from its operand's masks.  _blocks is n for a
-    set that construct.rank_scale made of n block copies, else None."""
+    construction may fill it from its operand's masks.  _partial holds
+    masks a construction carried over for some pairs only, as (masks,
+    known): bit j of known[i] is set when masks[i] already decides the pair
+    i, j, and orthogonality_graph computes the rest.  _blocks is n for a set
+    that construct.rank_scale made of n block copies, else None.
+
+    _deferred marks a seed or an intermediate set inside one
+    construct.build_chain run: ensure_valid passes it unchecked, and the
+    constructions build deferred sets from it, because build_chain
+    validates the set the chain gives (see there).  No deferred set leaves
+    build_chain."""
 
     dimension: int
     projectors: dict[str, Projector]
@@ -142,7 +155,10 @@ class KSSet:
     name: str | None = None
     _validated: bool = field(default=False, repr=False)
     _orth: tuple[int, ...] | None = field(default=None, repr=False)
+    _partial: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
+        default=None, repr=False)
     _blocks: int | None = field(default=None, repr=False)
+    _deferred: bool = field(default=False, repr=False)
 
     @property
     def n_projectors(self) -> int:
@@ -473,8 +489,10 @@ def validate(s: KSSet) -> ValidationReport:
 
 
 def ensure_valid(s: KSSet) -> None:
-    """Raise ValidationError unless s passes validation (cached)."""
-    if s._validated:
+    """Raise ValidationError unless s passes validation (cached).  A
+    deferred set (KSSet._deferred) passes: the output of its chain is
+    checked instead."""
+    if s._validated or s._deferred:
         return
     report = validate(s)
     if not report.ok:
@@ -551,24 +569,27 @@ def orthogonality_graph(s: KSSet) -> tuple[int, ...]:
     once per set and cached, unless a construction carried it over from
     its operand; every call returns the same tuple.
 
-    Two kinds of pair are orthogonal without a product: pairs with disjoint
-    supports, found by _overlaps, and pairs that share a context,
+    Three kinds of pair are orthogonal or decided without a product: pairs
+    with disjoint supports, found by _overlaps; pairs that share a context,
     union_of(s.members(), sig) for a projector of signature sig, which
-    validation has just proved orthogonal.  Only the remaining pairs, with
-    overlapping supports and no shared context, are checked with
+    validation has just proved orthogonal (for a deferred set, the
+    validation of its chain's output, which keeps those pairs in its
+    contexts); and pairs whose answer a construction carried over in
+    s._partial.  Only the remaining pairs are checked with
     projector_orthogonal.  No projector is its own neighbour."""
     ensure_valid(s)
     if s._orth is None:
         projs = list(s.projectors.values())
         members = s.members()
         every = (1 << len(projs)) - 1
-        masks = [0] * len(projs)
-        for i, (p, sig, overlap) in enumerate(
-            zip(projs, s.signatures().values(), _overlaps(s))
+        masks, known = s._partial or ((0,) * len(projs), (0,) * len(projs))
+        masks = list(masks)
+        for i, (p, sig, overlap, decided) in enumerate(
+            zip(projs, s.signatures().values(), _overlaps(s), known)
         ):
             shared = union_of(members, sig)
             masks[i] |= (every & ~overlap | shared) & ~(1 << i)
-            later = (overlap & ~shared) >> (i + 1)
+            later = (overlap & ~shared & ~decided) >> (i + 1)
             while later:
                 bit = later & -later
                 later ^= bit
@@ -576,5 +597,5 @@ def orthogonality_graph(s: KSSet) -> tuple[int, ...]:
                 if projector_orthogonal(p, projs[j]):
                     masks[i] |= 1 << j
                     masks[j] |= 1 << i
-        s._orth = tuple(masks)
+        s._orth, s._partial = tuple(masks), None
     return s._orth

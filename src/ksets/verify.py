@@ -58,7 +58,9 @@ class SearchStats:
 
     nodes: search states reached after unit propagation, the root included;
     propagations: projectors set to 1 by unit propagation;
-    conflicts: propagations that ended in a contradiction;
+    conflicts: branches tried, and roots, whose unit propagation ended in a
+    contradiction (a 1 excluded, or a context with no member left); it
+    counts search states, not propagations, and may exceed them;
     max_depth: most branching decisions on one path.
     Counts add up over searches; max_depth keeps the largest.
     """

@@ -7,14 +7,18 @@ The field automorphisms get the same treatment: a coefficient-by-coefficient
 substitution of powers of z read from the reduction table, and so does ray
 equality: a comparison of canonical forms, each ray scaled to a leading 1.
 The orthogonality graph is recomputed from one exact inner product per pair
-of span rays, with no shortcut.
+of span rays, with no shortcut.  The exhaustive pairing search certifies
+that the index-aligned pairing every table row and catalog chain uses,
+default_pairing(9, 7), already gives the most merges.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Sequence
 
+from ksets.construct import _check_pairing, _parity_pair
 from ksets.cyclo import _POW, DEGREE, CycNum
+from ksets.errors import InvalidPairingError
 from ksets.model import KSSet, Ray, inner, orthogonality_graph
 from ksets.verify import Mode
 
@@ -178,3 +182,95 @@ def naive_cnf_satisfiable(cnf_text: str) -> bool:
         if ok:
             return True
     return False
+
+
+# The most contexts optimize_pairing, which tries every pairing, takes in the
+# larger set.
+_PAIRING_SEARCH_LIMIT = 9
+
+
+def _merge_score(large: KSSet, small: KSSet) -> Callable[[Sequence[int]], int]:
+    """Score of a pairing: the number of projectors merge_rank
+    removes from pz_improved(large, small, pairing), from context membership
+    alone.  A small projector then occurs in every large context paired
+    with one of its own, and one projector survives per distinct signature.
+    Projectors in no context (signature 0) are never merged."""
+    large_sigs = [sig for sig in large.signatures().values() if sig]
+    small_sigs = [sig for sig in small.signatures().values() if sig]
+    total = len(large_sigs) + len(small_sigs)
+    large_groups = set(large_sigs)
+    small_groups = [
+        [j for j in range(small.n_contexts) if mask >> j & 1]
+        for mask in set(small_sigs)
+    ]
+
+    def score(pairing: Sequence[int]) -> int:
+        p_inv = [0] * small.n_contexts
+        for k, j in enumerate(pairing):
+            p_inv[j] |= 1 << k
+        groups = set(large_groups)
+        for sig in small_groups:
+            induced = 0
+            for j in sig:
+                induced |= p_inv[j]
+            groups.add(induced)
+        return total - len(groups)
+
+    return score
+
+
+def count_merges(s1: KSSet, s2: KSSet, pairing: tuple[int, ...]) -> int:
+    """Number of projectors eliminated by merge_rank after pz_improved with
+    the given pairing, computed from context membership alone.  The inputs
+    and the pairing are checked as pz_improved checks them."""
+    large, small = _parity_pair(s1, s2)
+    _check_pairing(pairing, large.n_contexts, small.n_contexts)
+    return _merge_score(large, small)(pairing)
+
+
+def optimize_pairing(s1: KSSet, s2: KSSet) -> tuple[int, ...]:
+    """Pairing that maximizes the merged-projector count of
+    merge_rank(pz_improved(s1, s2, pairing)), the first in lexicographic
+    order among equals.
+
+    The search tries every odd-usage pairing, so it is exact; it raises
+    InvalidPairingError when the larger set has more than 9 contexts."""
+    large, small = _parity_pair(s1, s2)
+    b_large, b_small = large.n_contexts, small.n_contexts
+    if b_large > _PAIRING_SEARCH_LIMIT:
+        raise InvalidPairingError(
+            f"optimize_pairing searches every pairing and takes at most "
+            f"{_PAIRING_SEARCH_LIMIT} contexts in the larger set, got {b_large}"
+        )
+    score = _merge_score(large, small)
+    best: tuple[int, tuple[int, ...]] | None = None
+    counts = [0] * b_small
+    slots = [0] * b_large
+
+    def dfs(pos: int, even: int) -> None:
+        """Fill slots[pos:], with even the number of small contexts used an
+        even number of times so far (zero included).  Each of them needs one
+        more use among the slots left, and the slots beyond those must come
+        in pairs."""
+        nonlocal best
+        if pos == b_large:
+            got = score(tuple(slots))
+            if best is None or got > best[0]:
+                best = (got, tuple(slots))
+            return
+        remaining = b_large - pos - 1
+        for j in range(b_small):
+            counts[j] += 1
+            slots[pos] = j
+            needed = even - 1 if counts[j] % 2 else even + 1
+            if needed <= remaining and (remaining - needed) % 2 == 0:
+                dfs(pos + 1, needed)
+            counts[j] -= 1
+        slots[pos] = 0
+
+    dfs(0, b_small)
+    # dfs reaches itself through its closure cell; emptying the cell frees
+    # the closure now instead of at the next cyclic collection.
+    del dfs
+    assert best is not None, "no odd-usage pairing exists"
+    return best[1]

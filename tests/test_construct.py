@@ -8,12 +8,13 @@ import hashlib
 import random
 import re
 import tracemalloc
+from dataclasses import replace
 from math import isqrt
 
 import pytest
 
 from conftest import basis_set, census_set
-from ksets import catalog, construct, setfile
+from ksets import catalog, construct, model, setfile
 from ksets.cyclo import CycNum, ONE, ZERO
 from ksets.errors import (
     BadBasisError,
@@ -24,6 +25,7 @@ from ksets.errors import (
     NotParityError,
     NotScaledUnitaryError,
     UnknownNameError,
+    ValidationError,
 )
 from ksets.model import (
     KSSet,
@@ -40,11 +42,9 @@ from ksets.construct import (
     apply_transform,
     build_chain,
     ceg,
-    count_merges,
     default_pairing,
     matsuno,
     merge_rank,
-    optimize_pairing,
     pz_basic,
     pz_improved,
     rank_scale,
@@ -60,6 +60,7 @@ from ksets.verify import (
     is_ks,
     is_parity,
 )
+from oracles import count_merges, optimize_pairing
 
 
 # -- basic direct sum ------------------------------------------------
@@ -817,3 +818,98 @@ def test_build_chain_calls_through_module_attributes(monkeypatch):
     out = build_chain("split_ranks(rank_scale(d4-18-9, 2))")
     assert calls == ["seed_set", "rank_scale"]
     assert symbol(out).compact == "36-9"
+
+
+def _table_chains() -> list[str]:
+    return [
+        chain
+        for d in range(3, 25)
+        for recipe in table_recipe(d)
+        for chain in (recipe.general_chain, recipe.rank1_chain)
+        if chain
+    ]
+
+
+def _step_by_step(chain: str) -> KSSet:
+    """The set of chain, built by calling the public constructions one at a
+    time, each on sets it is handed validated, without build_chain."""
+    steps = {name: getattr(construct, name) for name in construct.OPERANDS}
+    call = re.sub(r"\bd\d+-[\w-]+", lambda m: f"seed({m.group()!r})", chain)
+    return eval(call, {"__builtins__": {}, "seed": catalog.seed_set, **steps})
+
+
+def _without_name(s: KSSet) -> str:
+    return setfile.serialize(replace(s, name=None))
+
+
+@pytest.mark.parametrize("chain", _table_chains() + [
+    "merge_rank(ceg(rank_scale(d6-21-7, 2), 13))",
+    "split_ranks(ceg(rank_scale(d4-18-9, 2), 11))",
+    "ceg(merge_rank(d8-34-9), 11)",
+    "pz_improved(d4-18-9, merge_rank(pz_improved(d4-18-9, d6-21-7)))",
+    "rank_scale(split_ranks(rank_scale(d3-49-36, 2)), 1)",
+    "split_ranks(d10-39-9)",
+])
+def test_build_chain_matches_the_steps_called_one_by_one(chain):
+    # build_chain validates only its output; the public steps validate
+    # every set they return.  Both give the same set and the same graph.
+    got, expected = build_chain(chain), _step_by_step(chain)
+    assert _without_name(got) == _without_name(expected)
+    assert orthogonality_graph(got) == orthogonality_graph(expected)
+
+
+def test_build_chain_rejects_a_faulty_inner_step(monkeypatch):
+    # A rank_scale that tilts one ray of a context member towards another
+    # member.  build_chain checks no set on the way, but split_ranks keeps
+    # the pair in a context, so the chain's output fails its validation.
+    original = construct.rank_scale
+
+    def faulty(s, n):
+        out = original(s, n)
+        a, b = out.contexts[0][:2]
+        u, v, *rest = out.projectors[b].span
+        tilted = Ray([x + y for x, y in zip(out.projectors[a].span[0].entries,
+                                            u.entries)])
+        return replace(out, projectors={
+            **out.projectors, b: Projector((tilted, v, *rest))})
+
+    monkeypatch.setattr(construct, "rank_scale", faulty)
+    with pytest.raises(ValidationError, match="not orthogonal"):
+        build_chain("split_ranks(rank_scale(d4-18-9, 2))")
+    with pytest.raises(ValidationError, match="not orthogonal"):
+        split_ranks(faulty(catalog.seed_set("d4-18-9"), 2))
+
+
+def test_build_chain_leaves_its_seeds_and_output_checked():
+    # no set a caller sees is deferred, and every set a caller sees from a
+    # chain or a construction called on its own has passed validation
+    seed = catalog.seed_set("d4-18-9")
+    out = build_chain("split_ranks(rank_scale(d4-18-9, 2))")
+    assert out._validated and not out._deferred
+    assert seed._validated and not seed._deferred
+    assert build_chain("rank_scale(d4-18-9, 1)") is seed
+    for step in (split_ranks(rank_scale(seed, 2)), ceg(seed, 5),
+                 merge_rank(seed), matsuno(seed, 5)):
+        assert step._validated and not step._deferred
+
+
+def test_table_build_pass_work_counts(monkeypatch):
+    # One pass of the 112 table chains with is_ks, once the seeds and their
+    # graphs are loaded: one validate per chain that does not give a seed,
+    # and the products the carried masks leave to validate and the graphs.
+    # The counts are the same on every host.
+    chains = _table_chains()
+    for name in (*catalog.NAMES, *catalog.SEED_NAMES):
+        orthogonality_graph(catalog.seed_set(name))
+    counts = dict.fromkeys(("validate", "projector_orthogonal"), 0)
+    for name in counts:
+        def counting(*args, name=name, original=getattr(model, name)):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(model, name, counting)
+    for chain in chains:
+        assert is_ks(build_chain(chain))
+    assert len(chains) == 112
+    assert counts["validate"] <= 103
+    assert counts["projector_orthogonal"] <= 36180

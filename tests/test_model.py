@@ -272,12 +272,24 @@ _RANK1_NAMES = [
 ]
 
 
+# The "2n+5" and "2n+3" rows at odd d, beyond _GRAPH_CASES too, and ceg of
+# sets that no row doubles.  ceg of the unrotated d4-18-9 identifies
+# subspaces at d = 5, 7 and 9, so those outputs carry no masks.
+_CEG_CASES = [
+    recipe.general_chain
+    for d in (5, 7, 9, 13, 15, 17)
+    for recipe in table_recipe(d) if recipe.row in ("2n+5", "2n+3")
+] + ["ceg(d4-18-9, 5)", "ceg(d4-18-9, 7)", "ceg(rank_scale(d4-18-9, 2), 9)",
+     "ceg(d5-29-16, 9)", "ceg(merge_rank(d8-34-9), 11)",
+     "ceg(split_ranks(rank_scale(d4-18-9, 2)), 13)"]
+
+
 @pytest.mark.parametrize("chain", _GRAPH_CASES + [
     f"split_ranks(rank_scale({name}, {n}))"
     for name in _RANK1_NAMES for n in (2, 3)
-])
+] + _CEG_CASES)
 def test_carried_graph_matches_the_pairwise_reference(chain):
-    # the built set itself: rank_scale and split_ranks carry their
+    # the built set itself: rank_scale, split_ranks and ceg carry their
     # operand's masks over instead of computing them
     s = build_chain(chain)
     assert orthogonality_graph(s) == reference_graph(s)
@@ -293,6 +305,50 @@ def test_split_block_copies_take_no_product(monkeypatch):
                         lambda p, q: calls.append(1) or projector_orthogonal(p, q))
     orthogonality_graph(s)
     assert calls == []
+
+
+def _graph_products(monkeypatch, s: KSSet) -> int:
+    """The projector_orthogonal calls orthogonality_graph(s) makes."""
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "projector_orthogonal",
+                      lambda p, q: calls.append(1) or projector_orthogonal(p, q))
+        orthogonality_graph(s)
+    return len(calls)
+
+
+def test_split_of_a_rank1_set_takes_no_product(monkeypatch):
+    # an all-rank-1 set splits into itself, so it keeps its masks
+    seed = catalog.seed_set("d10-39-9")
+    orthogonality_graph(seed)
+    s = split_ranks(seed)
+    assert serialize(s) == serialize(seed)
+    assert _graph_products(monkeypatch, s) == 0
+    assert orthogonality_graph(s) == orthogonality_graph(seed)
+
+
+@pytest.mark.parametrize("chain, copies, carried", [
+    ("ceg(d4-18-9, 5)", 18, False),
+    ("ceg(d4-18-9, 7)", 18, False),
+    ("ceg(rank_scale(d4-18-9, 2), 9)", 18, False),
+    ("ceg(rank_scale(d4-18-9-rot, 1), 5)", 18, True),
+    ("ceg(rank_scale(d4-18-9-rot, 2), 9)", 18, True),
+    ("ceg(rank_scale(d6-21-7, 1), 7)", 21, True),
+    ("ceg(rank_scale(d6-21-7, 2), 13)", 21, True),
+])
+def test_ceg_copies_take_no_product_unless_a_subspace_is_identified(
+        monkeypatch, chain, copies, carried):
+    # the graph of a fresh copy checks every pair it cannot skip; a ceg
+    # output skips the pairs inside each of its two copies too, unless
+    # _assemble identified a subspace, as for the unrotated d4-18-9 at
+    # d = 5, 7 and 9, where fewer than 2R + 3 projectors remain
+    s = build_chain(chain)
+    assert (s.n_projectors == 2 * copies + 3) == carried
+    fresh = parse(serialize(s))
+    fresh_calls = _graph_products(monkeypatch, fresh)
+    calls = _graph_products(monkeypatch, s)
+    assert orthogonality_graph(s) == orthogonality_graph(fresh)
+    assert calls < fresh_calls if carried else calls == fresh_calls
 
 
 _entry_values = st.integers(min_value=-6, max_value=6)
