@@ -8,12 +8,12 @@ merging ranks, and the dimension-table recipes that chain them.  Each is
 fixed by its input sets and target dimension, and each returns through one
 assembly step, _assemble, which identifies equal subspaces and drops
 repeated members and member sets.  Copies of the operand carry its
-orthogonality masks through it: rank_scale keeps its input's graph,
-split_ranks of an all-rank-1 set keeps that set's, split_ranks of
-rank_scale(S, n), S all rank 1, spreads S's graph over the n blocks, and
-ceg takes the pairs inside each of its two copies from its input's graph,
-which leaves its own graph only the pairs across the copies and with its
-pads.  The other constructions' outputs compute their graphs.  The
+orthogonality masks into the output's graph state: rank_scale keeps its
+input's graph, split_ranks of an all-rank-1 set keeps that set's, split_ranks
+of a set laid out as rank_scale(S, n), S all rank 1, spreads its graph over
+the n blocks, and ceg takes the pairs inside each of its two copies from its
+input's graph, leaving its own graph the pairs across the copies and with
+its pads.  The other constructions' outputs compute their graphs.  The
 greedy reduction to a critical core, reduce_critical, runs beside the
 search in verify and is re-exported here.
 
@@ -65,17 +65,15 @@ def _assemble(
     contexts: list[Context],
     name: str | None,
     deferred: bool,
-    orth: tuple[int, ...] | None = None,
-    known: tuple[int, ...] | None = None,
+    graph: tuple[tuple[int, ...], tuple[int, ...] | None] | None = None,
 ) -> KSSet:
     """The set of the labelled parts and the contexts over their labels,
     validated unless it is deferred, which it is when the operands it was
     built from are (KSSet._deferred).  Equal subspaces are identified under
     the first label, each context keeps a member once, and a context whose
-    member set an earlier one has is dropped.  orth, the orthogonality
-    masks of the parts in their order when the caller knows them, becomes
-    the set's graph if no subspace was identified; with known, the pairs
-    it marks (KSSet._partial) are all that orth decides."""
+    member set an earlier one has is dropped.  graph, a graph state of the
+    parts in their order (KSSet._orth) that the caller carries over from
+    its operand, is the set's if no subspace was identified."""
     index = SubspaceIndex()
     first = {label: index.add(label, proj) for label, proj in parts}
     unique: dict[frozenset[str], Context] = {}
@@ -83,13 +81,9 @@ def _assemble(
         members = tuple(dict.fromkeys(map(first.__getitem__, ctx)))
         unique.setdefault(frozenset(members), members)
     out = KSSet(dimension, index.table, list(unique.values()), name=name,
+                _orth=graph if len(index.table) == len(parts) else None,
                 _deferred=deferred)
     ensure_valid(out)
-    if orth is not None and len(index.table) == len(parts):
-        if known is None:
-            out._orth = orth
-        else:
-            out._partial = (orth, known)
     return out
 
 
@@ -205,27 +199,38 @@ def merge_rank(s: KSSet) -> KSSet:
     return _assemble(s.dimension, parts, contexts, s.name, s._deferred)
 
 
-def _split_graph(s: KSSet) -> tuple[int, ...] | None:
-    """The orthogonality masks of split_ranks(s) when s is rank_scale(S, n)
-    of an all-rank-1 S, or all rank 1 itself (n = 1), else None.  An
-    all-rank-1 s splits into its own projectors in its own order, so it
-    keeps its masks.  Otherwise ray k of projector i lies in block k and is
-    ray i*n + k of the output.  Rays in different blocks have disjoint
-    supports, and two rays in one block are orthogonal exactly when their
-    projectors are, so ray i*n + k is orthogonal to every ray outside block
-    k and to the block-k rays of s's mask i."""
-    n = s._blocks or 1
-    if any(p.rank != n for p in s.projectors.values()):
+def _split_graph(s: KSSet) -> tuple[tuple[int, ...], None] | None:
+    """The graph state of split_ranks(s) when s's rays have the layout of
+    rank_scale(S, n), S all rank 1, else None: every projector has rank n,
+    its span is its first ray repeated entry for entry at offsets k*b, with
+    b = d // n, and the first ray's window lies in block 0.  For n = 1 the
+    split is s's projectors in their order, with s's masks.  Otherwise ray k
+    of projector i lies in block k and is ray i*n + k of the output; rays in
+    different blocks have disjoint supports, and two in one block are
+    orthogonal exactly when their projectors are (mask i of s)."""
+    projs = s.projectors.values()
+    n = min((p.rank for p in projs), default=1)
+    if any(p.rank != n for p in projs):
         return None
-    graph = orthogonality_graph(s)
     if n == 1:
-        return graph
+        return orthogonality_graph(s), None
+    b = s.dimension // n
+    for p in projs:
+        first = p.span[0]
+        lo, width = first._lo, len(first._vals)
+        window = first.entries[lo:lo + width]
+        if lo + width > b:
+            return None
+        for at, r in zip(range(lo, s.dimension, b), p.span):
+            if r._lo != at or len(r._vals) != width or r.entries[at:at + width] != window:
+                return None
+    graph = orthogonality_graph(s)
     spread = [sum(1 << j * n for j in range(len(graph)) if mask >> j & 1)
               for mask in graph]
     block = sum(1 << j * n for j in range(len(graph)))  # the rays of block 0
     every = (1 << n * len(graph)) - 1
     return tuple((every ^ block << k) | mask << k
-                 for mask in spread for k in range(n))
+                 for mask in spread for k in range(n)), None
 
 
 def split_ranks(s: KSSet) -> KSSet:
@@ -233,8 +238,8 @@ def split_ranks(s: KSSet) -> KSSet:
     individual rank-1 projectors, under the ids a set file gives those rays
     (p.1 ... p.r for a projector p).  Equal subspaces are identified, and a
     context whose member set repeats an earlier one is dropped.  The split
-    of an all-rank-1 set, and of rank_scale(S, n) for such an S, takes its
-    graph from its operand's (_split_graph) instead of computing it."""
+    of an all-rank-1 set, and of a set laid out as rank_scale(S, n) for
+    such an S, carries its operand's graph over (_split_graph)."""
     ensure_valid(s)
     ray_ids = _ray_ids(s)
     parts = [
@@ -258,8 +263,7 @@ def rank_scale(s: KSSet, n: int) -> KSSet:
     projector becomes the rank-n*r sum of its shifted copies while the
     context structure is unchanged.  n = 1 returns s, a larger n names
     the output name(scale<n>).  P (x) I_n is orthogonal to Q (x) I_n
-    exactly when P is orthogonal to Q, so the output keeps s's graph, and
-    it records n for split_ranks."""
+    exactly when P is orthogonal to Q, so the output keeps s's graph."""
     ensure_valid(s)
     if n < 1:
         raise BadDimensionError("scale factor must be a positive integer")
@@ -276,10 +280,8 @@ def rank_scale(s: KSSet, n: int) -> KSSet:
                               for k in range(n) for r in proj.span)))
         for pid, proj in s.projectors.items()
     ]
-    out = _assemble(n * d, parts, s.contexts, f"{s.name or 'S'}(scale{n})",
-                    s._deferred, orthogonality_graph(s))
-    out._blocks = n
-    return out
+    return _assemble(n * d, parts, s.contexts, f"{s.name or 'S'}(scale{n})",
+                     s._deferred, (orthogonality_graph(s), None))
 
 
 def ceg(s: KSSet, d_target: int) -> KSSet:
@@ -325,7 +327,7 @@ def ceg(s: KSSet, d_target: int) -> KSSet:
     orth = (*graph, *(m << r for m in graph), 0, 0, 0)
     known = (first,) * r + (first << r,) * r + (0, 0, 0)
     return _assemble(d_target, parts, contexts, f"{s.name or 'S'}(ceg{d_target})",
-                     s._deferred, orth, known)
+                     s._deferred, (orth, known))
 
 
 def axis_basis_ids(s: KSSet, delta: int) -> list[str]:
@@ -467,9 +469,8 @@ def build_chain(chain: str) -> KSSet:
     two non-orthogonal span rays of a projector in some context, a rank
     sum off the dimension or two non-orthogonal members of a context in a
     set on the way shows again in the chain's set, and fails its
-    validation.  Each construction also
-    takes valid operands to a valid set, and the seeds are validated when
-    they load."""
+    validation.  Each construction also takes valid operands to a valid
+    set, and the seeds are validated when they load."""
     calls: list[tuple[str, list]] = [("", [])]  # open calls and their args
     seeds: list[tuple[KSSet, KSSet]] = []  # each seed and its deferred copy
     want_arg = True
@@ -516,7 +517,7 @@ def build_chain(chain: str) -> KSSet:
             seed._orth = copy._orth
         if out is copy:
             return seed
-    # replace keeps the orthogonality masks.
+    # replace keeps the graph state.
     out = replace(out, name=" ".join(chain.split()), _deferred=False)
     ensure_valid(out)
     return out

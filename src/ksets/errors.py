@@ -47,8 +47,7 @@ class NotParityError(KSError):
 
 class InvalidPairingError(KSError):
     """A context pairing does not cover every large context once, names a
-    context out of range or uses a small context an even number of times;
-    or the pairing search is given more contexts than it searches."""
+    context out of range or uses a small context an even number of times."""
 
 
 class BadDimensionError(KSError):

@@ -20,14 +20,14 @@ norm.  Rays compare as rank-1 projectors, through projector_equal.
 The full orthogonality relation of a set is computed once, as one integer
 bitmask per projector; it takes pairs with disjoint supports and pairs that
 validation proved orthogonal in a shared context without a product, and
-orthogonality_graph returns the cached tuple of masks.  The block copies of
-construct.rank_scale and split_ranks fill that cache from their operand's
-masks instead, so their graphs take no product, and construct.ceg fills in
-the pairs inside each of its copies (KSSet._partial), so its graph checks
-only the rest.  Which projectors share a context is read from
-KSSet.members() with union_of.  Every set is validated before its graph or
-its symbol is read, except the sets a chain builds on the way
-(KSSet._deferred), whose check is the chain output's.
+orthogonality_graph returns the cached tuple of masks.  A construction may
+carry masks over from its operand into KSSet._orth, the one graph state of
+a set: the block copies of construct.rank_scale and split_ranks carry every
+pair, so their graphs take no product, and construct.ceg the pairs inside
+each of its copies, so its graph checks only the rest.  Which projectors
+share a context is read from KSSet.members() with union_of.  Every set is
+validated before its graph or its symbol is read, except the sets a chain
+builds on the way (KSSet._deferred), whose check is the chain output's.
 """
 
 from __future__ import annotations
@@ -136,12 +136,11 @@ Context = tuple[str, ...]
 class KSSet:
     """A dimension, a table of identified projectors and a context list.
 
-    _orth caches the orthogonality masks (orthogonality_graph); a
-    construction may fill it from its operand's masks.  _partial holds
-    masks a construction carried over for some pairs only, as (masks,
-    known): bit j of known[i] is set when masks[i] already decides the pair
-    i, j, and orthogonality_graph computes the rest.  _blocks is n for a set
-    that construct.rank_scale made of n block copies, else None.
+    _orth is the set's graph state, (masks, known), or None before any:
+    bit j of known[i] is set when masks[i] decides the pair i, j, and known
+    is None once the masks decide every pair.  orthogonality_graph fills
+    the open pairs and stores (masks, None); a construction may carry masks
+    over from its operand's (construct._assemble).
 
     _deferred marks a seed or an intermediate set inside one
     construct.build_chain run: ensure_valid passes it unchecked, and the
@@ -154,10 +153,8 @@ class KSSet:
     contexts: list[Context]
     name: str | None = None
     _validated: bool = field(default=False, repr=False)
-    _orth: tuple[int, ...] | None = field(default=None, repr=False)
-    _partial: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
+    _orth: tuple[tuple[int, ...], tuple[int, ...] | None] | None = field(
         default=None, repr=False)
-    _blocks: int | None = field(default=None, repr=False)
     _deferred: bool = field(default=False, repr=False)
 
     @property
@@ -426,15 +423,16 @@ def validate(s: KSSet) -> ValidationReport:
         if not proj.span:
             report.add(f"projector {pid}: empty span")
             continue
+        span = proj.span
         for ray in proj.span:
             if ray.dimension != s.dimension:
                 report.add(
                     f"projector {pid}: ray of dimension {ray.dimension} "
                     f"in a dimension-{s.dimension} set"
                 )
+                span = ()  # no products across dimensions
             if ray.is_zero():
                 report.add(f"projector {pid}: zero ray")
-        span = proj.span
         for i, u in enumerate(span):
             for j in range(i + 1, len(span)):
                 v = span[j]
@@ -566,23 +564,23 @@ def orthogonality_graph(s: KSSet) -> tuple[int, ...]:
     """The full orthogonality relation, including pairs that never share a
     context, as one bitmask per projector in s.projectors order: bit j of
     entry i is set when projectors i and j are orthogonal.  It is computed
-    once per set and cached, unless a construction carried it over from
-    its operand; every call returns the same tuple.
+    once per set and cached in s._orth, unless a construction carried it
+    over from its operand; every call returns the same tuple.
 
     Three kinds of pair are orthogonal or decided without a product: pairs
     with disjoint supports, found by _overlaps; pairs that share a context,
     union_of(s.members(), sig) for a projector of signature sig, which
     validation has just proved orthogonal (for a deferred set, the
     validation of its chain's output, which keeps those pairs in its
-    contexts); and pairs whose answer a construction carried over in
-    s._partial.  Only the remaining pairs are checked with
+    contexts); and pairs whose answer a construction carried over, the
+    known pairs of s._orth.  Only the remaining pairs are checked with
     projector_orthogonal.  No projector is its own neighbour."""
     ensure_valid(s)
-    if s._orth is None:
+    if s._orth is None or s._orth[1] is not None:
         projs = list(s.projectors.values())
         members = s.members()
         every = (1 << len(projs)) - 1
-        masks, known = s._partial or ((0,) * len(projs), (0,) * len(projs))
+        masks, known = s._orth or ((0,) * len(projs),) * 2
         masks = list(masks)
         for i, (p, sig, overlap, decided) in enumerate(
             zip(projs, s.signatures().values(), _overlaps(s), known)
@@ -597,5 +595,5 @@ def orthogonality_graph(s: KSSet) -> tuple[int, ...]:
                 if projector_orthogonal(p, projs[j]):
                     masks[i] |= 1 << j
                     masks[j] |= 1 << i
-        s._orth, s._partial = tuple(masks), None
-    return s._orth
+        s._orth = (tuple(masks), None)
+    return s._orth[0]

@@ -154,12 +154,13 @@ def _ray_ids(s: KSSet) -> dict[str, list[str]]:
 
 
 def serialize(s: KSSet) -> str:
-    """Canonical text for a validated set.
+    """Canonical text for a set, which must pass validation (ensure_valid).
 
     Rank-1 projectors become single ray lines under their own id; a rank-r
     projector emits its span rays, under the ids _ray_ids gives them,
     followed by a proj line.  Contexts keep their stored order.
     """
+    ensure_valid(s)
     lines = [f"dim {s.dimension}"]
     if s.name:
         lines.insert(0, f"# {s.name}")

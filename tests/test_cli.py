@@ -287,6 +287,24 @@ def test_reduce_command(capsys):
     assert s.n_contexts == 7
 
 
+def test_reduce_command_validates_its_input_and_its_core_once(
+        capsys, tmp_path, monkeypatch):
+    # serialize validates the core it writes; reduce_critical does not
+    from ksets import construct, model, setfile
+
+    path = tmp_path / "ceg.ks"
+    path.write_text(setfile.serialize(construct.ceg(parse(
+        setfile.serialize(construct.catalog.seed_set("d4-18-9"))), 7)))
+    checked = []
+    original = model.validate
+    monkeypatch.setattr(model, "validate",
+                        lambda s: checked.append(s.n_contexts) or original(s))
+    code, out, _ = run(capsys, "reduce", str(path))
+    calls = checked[:]  # parse below validates too
+    assert code == 0
+    assert calls == [19, parse(out).n_contexts]
+
+
 def test_table_command(capsys):
     code, out, _ = run(capsys, "table", "10")
     assert code == 0

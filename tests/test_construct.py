@@ -508,6 +508,19 @@ def test_matsuno_at_least_one_duplicate(s18, basis21):
         assert out.n_contexts <= 2 * s.n_contexts - 1
 
 
+def test_matsuno_splits_a_higher_rank_operand(basis21):
+    # matsuno splits an operand with projectors of higher rank into its
+    # span rays first, called directly and as a step of a chain
+    scaled = rank_scale(basis21, 2)
+    expected = _without_name(matsuno(split_ranks(scaled), 13))
+    assert _without_name(matsuno(scaled, 13)) == expected
+    got = build_chain("matsuno(rank_scale(d6-21-7-basis, 2), 13)")
+    assert _without_name(got) == expected
+    assert _without_name(build_chain(
+        "matsuno(split_ranks(rank_scale(d6-21-7-basis, 2)), 13)")) == expected
+    assert symbol(got).compact == "53-12"
+
+
 def test_matsuno_rejects_non_axis_basis(s21):
     # the stored 21-ray set has no axis rays at all
     with pytest.raises(BadBasisError):

@@ -1,7 +1,8 @@
 """Source guards on the package: no module imports random, as the README
 promises that no probabilistic step enters any decision, the constructions
-make their sets in one place, the catalog makes and symbol-checks its sets
-in one place, and every name the package exports resolves."""
+make their sets in one place and leave them as made, a set's graph state is
+written in three places, the catalog makes and symbol-checks its sets in
+one place, and every name the package exports resolves."""
 
 from __future__ import annotations
 
@@ -50,6 +51,77 @@ def test_constructions_build_sets_only_through_assemble():
     # Every construction returns through construct._assemble, which owns the
     # one SubspaceIndex that identifies equal subspaces.
     offenders = _calls_outside(construct, "_assemble", {"KSSet", "SubspaceIndex"})
+    assert not offenders, offenders
+
+
+def _owners(tree: ast.AST) -> dict[int, str]:
+    """The name of the outermost function holding each node of tree that
+    lies inside one.  ast.walk visits outer functions first."""
+    owner: dict[int, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            for inner in ast.walk(node):
+                owner.setdefault(id(inner), node.name)
+    return owner
+
+
+def test_graph_state_is_written_only_where_it_is_made():
+    # KSSet._orth is filled by orthogonality_graph, carried over into a new
+    # set by _assemble, and copied back to a chain's seed by build_chain
+    writers = set()
+    for path in sorted(Path(ksets.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = _owners(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "_orth"
+                    and not isinstance(node.ctx, ast.Load)):
+                writers.add((path.name, owner.get(id(node)), ast.unparse(node.value)))
+            elif isinstance(node, ast.Call) and (
+                    any(k.arg == "_orth" for k in node.keywords)
+                    or any(isinstance(a, ast.Constant) and a.value == "_orth"
+                           for a in node.args)):
+                writers.add((path.name, owner.get(id(node)), ast.unparse(node.func)))
+    assert writers == {
+        ("model.py", "orthogonality_graph", "s"),
+        ("construct.py", "_assemble", "KSSet"),
+        ("construct.py", "build_chain", "seed"),
+    }
+
+
+def test_constructions_leave_the_sets_of_assemble_as_made():
+    # No function of construct.py sets an attribute of a set that _assemble
+    # returned, whether held in a name or not: whatever a set carries, it
+    # has from _assemble.
+    path = Path(construct.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+
+    def assembled(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_assemble")
+
+    offenders = []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        built = {
+            target.id
+            for node in ast.walk(func)
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr))
+            and assembled(node.value)
+            for target in (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+            if isinstance(target, ast.Name)
+        }
+
+        def made(node: ast.AST) -> bool:
+            return assembled(node) or isinstance(node, ast.Name) and node.id in built
+
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load)
+                    and made(node.value)) or (
+                    isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "setattr" and made(node.args[0])):
+                offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, offenders
 
 

@@ -12,15 +12,18 @@ from hypothesis import strategies as st
 
 from conftest import basis_set, make_ray
 from ksets import catalog, model
-from ksets.construct import build_chain, rank_scale, split_ranks, table_recipe
+from ksets.construct import (
+    build_chain, merge_rank, rank_scale, split_ranks, table_recipe,
+)
 from ksets.cyclo import (
     OMEGA3, PACK_BASE, PACK_MOD, SQRT2, SQRT3, ZERO, CycNum, pack, zeta,
 )
-from ksets.errors import DimensionMismatch
+from ksets.errors import DimensionMismatch, ValidationError
 from ksets.model import (
     KSSet,
     Projector,
     Ray,
+    ensure_valid,
     inner,
     orthogonal,
     orthogonality_graph,
@@ -30,6 +33,7 @@ from ksets.model import (
     validate,
 )
 from ksets.setfile import parse, serialize
+from ksets.verify import is_ks
 from oracles import reference_graph
 
 
@@ -180,6 +184,48 @@ def test_validate_duplicate_contexts():
     assert any("equal member sets" in issue for issue in report.issues)
 
 
+def _with_projector(proj: Projector) -> KSSet:
+    s = basis_set(2)
+    s.projectors["x"] = proj
+    return s
+
+
+def _with_context(ctx: tuple[str, ...]) -> KSSet:
+    s = basis_set(2)
+    s.contexts.append(ctx)
+    return s
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: KSSet(0, basis_set(2).projectors, []),
+                 "dimension 0 < 1", id="dimension"),
+    pytest.param(lambda: _with_projector(Projector(())),
+                 "projector x: empty span", id="empty-span"),
+    pytest.param(lambda: _with_projector(Projector((make_ray(0, 0),))),
+                 "projector x: zero ray", id="zero-ray"),
+    pytest.param(lambda: _with_projector(Projector((make_ray(1, 1, 0),))),
+                 "projector x: ray of dimension 3 in a dimension-2 set",
+                 id="ray-dimension"),
+    # two span rays that share support but not a dimension take no product
+    pytest.param(lambda: _with_projector(
+                     Projector((make_ray(1, 1, 0), make_ray(1, 1)))),
+                 "projector x: ray of dimension 3 in a dimension-2 set",
+                 id="span-dimensions"),
+    pytest.param(lambda: _with_context(("1", "x")),
+                 "context 1: unknown members x", id="unknown-member"),
+    pytest.param(lambda: _with_context(("1", "1")),
+                 "context 1: repeated member", id="repeated-member"),
+])
+def test_validate_rejects_a_malformed_hand_built_set(make, message):
+    # every entry point validates its operand before it reads the projector
+    # table or the contexts, so each raises ValidationError, not KeyError
+    assert validate(make()).issues == [message]
+    for step in (ensure_valid, merge_rank, lambda s: rank_scale(s, 2), is_ks,
+                 symbol, orthogonality_graph, serialize):
+        with pytest.raises(ValidationError, match=message):
+            step(make())
+
+
 def test_symbol_18_9(s18):
     sym = symbol(s18)
     assert sym.compact == "18-9"
@@ -315,6 +361,30 @@ def _graph_products(monkeypatch, s: KSSet) -> int:
                       lambda p, q: calls.append(1) or projector_orthogonal(p, q))
         orthogonality_graph(s)
     return len(calls)
+
+
+def test_split_of_a_parsed_block_copy_takes_no_product(monkeypatch):
+    # split_ranks reads the block layout of rank_scale(S, n) from the rays,
+    # so a copy parsed from its set file carries its masks as well
+    s = split_ranks(parse(serialize(rank_scale(catalog.seed_set("d4-18-9"), 2))))
+    assert _graph_products(monkeypatch, s) == 0
+    assert orthogonality_graph(s) == reference_graph(s)
+
+
+@pytest.mark.parametrize("shift, carried", [(0, True), (1, False), (5, False)])
+def test_split_graph_checks_the_block_layout(monkeypatch, shift, carried):
+    # rank-2 projectors of d6-21-7's rays, ray i in block 0 with ray
+    # i + shift in block 1: only shift 0 is the layout of a block copy.
+    # Every ray has the same support window, so only the entries tell, and
+    # for shift != 0 the blocks have different graphs, so the split's graph
+    # cannot be spread from the operand's.
+    rays = [p.span[0] for p in catalog.seed_set("d6-21-7").projectors.values()]
+    s = KSSet(12, {
+        f"p{i}": Projector((u.padded(0, 6), rays[(i + shift) % 21].padded(6, 0)))
+        for i, u in enumerate(rays)}, [])
+    split = split_ranks(s)
+    assert (_graph_products(monkeypatch, split) == 0) == carried
+    assert orthogonality_graph(split) == reference_graph(split)
 
 
 def test_split_of_a_rank1_set_takes_no_product(monkeypatch):

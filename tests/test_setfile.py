@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksets import catalog
+from ksets.cyclo import ZERO
+from ksets.model import KSSet, Projector, Ray
 from ksets.errors import (
     KSError,
     SetSyntaxError,
@@ -138,6 +140,22 @@ def test_fresh_primes_until_unused_and_takes_the_result():
     assert _fresh("x", taken) == "x" + "'" * 3
     assert _fresh("y", taken) == "y"
     assert taken == {"x", "x'", "x''", "x" + "'" * 3, "y"}
+
+
+@pytest.mark.parametrize("projectors, contexts, message", [
+    # an empty span has no ray line, so its projector would vanish
+    pytest.param({"x": Projector(())}, [], "empty span", id="empty-span"),
+    pytest.param({"x": Projector((Ray((ZERO, ZERO)),))}, [], "zero ray",
+                 id="zero-ray"),
+    pytest.param({}, [("a", "x")], "unknown members x", id="unknown-member"),
+])
+def test_serialize_rejects_a_set_that_fails_validation(projectors, contexts, message):
+    # each of these would be written out as a different set, or as text
+    # that parse rejects
+    s = parse("dim 2\nray a 1 0\nray b 0 1\nctx a b\n")
+    bad = KSSet(2, {**s.projectors, **projectors}, s.contexts + contexts)
+    with pytest.raises(ValidationError, match=message):
+        serialize(bad)
 
 
 def test_serialize_renders_minimal_scalars():
