@@ -10,7 +10,7 @@ suite checks all of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import lru_cache
 
 from . import _tables
@@ -20,16 +20,9 @@ from .setfile import parse
 from .verify import Mode
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    dimension: int
-    set: KSSet
-    expected_symbol: str
-    expected_compact: str
-    expected_parity: bool
-    critical_mode: Mode
-    provenance: str
+CatalogEntry = namedtuple("CatalogEntry", (
+    "name dimension set expected_symbol expected_compact expected_parity "
+    "critical_mode provenance"))
 
 
 # name -> (set-file text or chain, detailed symbol, parity, strongest
@@ -148,8 +141,8 @@ def _load(name: str) -> KSSet:
         # A one-line source is a chain.  construct imports this module, so
         # build_chain is imported when a chain is first built.
         from .construct import build_chain
-        # replace keeps the validation flag and the orthogonality masks.
-        s = replace(build_chain(source), name=name)
+        # The copy keeps the validation flag and the orthogonality masks.
+        s = build_chain(source).copy(name=name)
     computed = symbol(s).detailed
     if computed != recorded:
         raise ValidationError(ValidationReport([

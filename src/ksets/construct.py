@@ -27,7 +27,7 @@ set the chain gives, which covers the sets built on the way (see there).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from . import catalog
 from .cyclo import CycNum, ONE, ZERO
@@ -489,7 +489,7 @@ def build_chain(chain: str) -> KSSet:
             want_arg = False
         elif want_arg and word:
             seed = catalog.seed_set(word)
-            seeds.append((seed, replace(seed, _deferred=True)))
+            seeds.append((seed, seed.copy(_deferred=True)))
             calls[-1][1].append(seeds[-1][1])
             want_arg = False
         elif not want_arg and punct == "," and len(calls) > 1:
@@ -517,24 +517,20 @@ def build_chain(chain: str) -> KSSet:
             seed._orth = copy._orth
         if out is copy:
             return seed
-    # replace keeps the graph state.
-    out = replace(out, name=" ".join(chain.split()), _deferred=False)
+    # The copy keeps the graph state.
+    out = out.copy(name=" ".join(chain.split()), _deferred=False)
     ensure_valid(out)
     return out
 
 
-@dataclass
-class Recipe:
+class Recipe(namedtuple("Recipe", (
+        "dimension row general_symbol rank1_symbol critical general_chain "
+        "rank1_chain"))):
     """One dimension-table row: predicted compact symbols and the chains
-    that build the general-rank and the all-rank-1 variant."""
+    that build the general-rank and the all-rank-1 variant (None where the
+    row has none)."""
 
-    dimension: int
-    row: str
-    general_symbol: str | None
-    rank1_symbol: str | None
-    critical: bool
-    general_chain: str | None = None
-    rank1_chain: str | None = None
+    __slots__ = ()
 
     def build_general(self) -> KSSet | None:
         return build_chain(self.general_chain) if self.general_chain else None

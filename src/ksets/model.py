@@ -32,8 +32,8 @@ builds on the way (KSSet._deferred), whose check is the chain output's.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Hashable, Sequence
-from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 from math import lcm, prod
 from operator import mul, or_
@@ -102,11 +102,18 @@ class Ray:
         return "Ray(" + " ".join(render_scalar(e) for e in self.entries) + ")"
 
 
-@dataclass(frozen=True)
 class Projector:
-    """A rank-r subspace given by r mutually orthogonal nonzero rays."""
+    """A rank-r subspace given by r mutually orthogonal nonzero rays.
+    Projectors compare and hash by their span rays."""
 
-    span: tuple[Ray, ...]
+    def __init__(self, span: tuple[Ray, ...]):
+        self.span = span
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Projector) and self.span == other.span
+
+    def __hash__(self) -> int:
+        return hash(self.span)
 
     @property
     def rank(self) -> int:
@@ -132,7 +139,6 @@ class Projector:
 Context = tuple[str, ...]
 
 
-@dataclass(eq=False)
 class KSSet:
     """A dimension, a table of identified projectors and a context list.
 
@@ -146,16 +152,36 @@ class KSSet:
     construct.build_chain run: ensure_valid passes it unchecked, and the
     constructions build deferred sets from it, because build_chain
     validates the set the chain gives (see there).  No deferred set leaves
-    build_chain."""
+    build_chain.  _validated is set by validate once the set passes."""
 
-    dimension: int
-    projectors: dict[str, Projector]
-    contexts: list[Context]
-    name: str | None = None
-    _validated: bool = field(default=False, repr=False)
-    _orth: tuple[tuple[int, ...], tuple[int, ...] | None] | None = field(
-        default=None, repr=False)
-    _deferred: bool = field(default=False, repr=False)
+    def __init__(
+        self,
+        dimension: int,
+        projectors: dict[str, Projector],
+        contexts: list[Context],
+        name: str | None = None,
+        _orth: tuple[tuple[int, ...], tuple[int, ...] | None] | None = None,
+        _deferred: bool = False,
+    ):
+        self.dimension = dimension
+        self.projectors = projectors
+        self.contexts = contexts
+        self.name = name
+        self._validated = False
+        self._orth = _orth
+        self._deferred = _deferred
+
+    def copy(self, **changes) -> KSSet:
+        """A shallow copy with the given attributes replaced, as in
+        s.copy(name="x"): unless changes name them, it shares s's projector
+        table and context list and keeps its validation flag and graph
+        state."""
+        unknown = changes.keys() - vars(self).keys()
+        if unknown:
+            raise TypeError(f"KSSet has no attribute {sorted(unknown)}")
+        out = KSSet.__new__(KSSet)
+        vars(out).update(vars(self), **changes)
+        return out
 
     @property
     def n_projectors(self) -> int:
@@ -396,11 +422,11 @@ class SubspaceIndex:
         return pid
 
 
-@dataclass
 class ValidationReport:
     """Outcome of structural validation; empty issue list means valid."""
 
-    issues: list[str] = field(default_factory=list)
+    def __init__(self, issues: Sequence[str] = ()):
+        self.issues = list(issues)
 
     @property
     def ok(self) -> bool:
@@ -497,18 +523,16 @@ def ensure_valid(s: KSSet) -> None:
         raise ValidationError(report)
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(namedtuple(
+        "Symbol", "compact detailed ray_classes context_classes")):
     """Compact and detailed classification of a set's projectors/contexts.
 
-    Ray classes count projectors sharing (rank, multiplicity); context
-    classes count contexts sharing a member count.
+    Ray classes, (count, rank, multiplicity), count projectors sharing
+    (rank, multiplicity); context classes, (count, size, dimension), count
+    contexts sharing a member count.
     """
 
-    compact: str
-    detailed: str
-    ray_classes: tuple[tuple[int, int, int], ...]  # (count, rank, multiplicity)
-    context_classes: tuple[tuple[int, int, int], ...]  # (count, size, dimension)
+    __slots__ = ()
 
 
 def symbol(s: KSSet) -> Symbol:

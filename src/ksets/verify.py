@@ -13,8 +13,8 @@ removals included, also under python -O.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import NotKSError
@@ -39,11 +39,10 @@ def _natural_key(pid: str):
     )
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """A 0/1 valuation of projector ids."""
+class Assignment(namedtuple("Assignment", "values")):
+    """A 0/1 valuation: values maps each projector id to 0 or 1."""
 
-    values: dict[str, int]
+    __slots__ = ()
 
     def lines(self) -> str:
         return "\n".join(
@@ -52,7 +51,6 @@ class Assignment:
         )
 
 
-@dataclass
 class SearchStats:
     """What one or more searches did.
 
@@ -62,30 +60,30 @@ class SearchStats:
     contradiction (a 1 excluded, or a context with no member left); it
     counts search states, not propagations, and may exceed them;
     max_depth: most branching decisions on one path.
-    Counts add up over searches; max_depth keeps the largest.
+    Counts add up over searches; max_depth keeps the largest.  Stats
+    compare equal when every count is.
     """
 
-    nodes: int = 0
-    propagations: int = 0
-    conflicts: int = 0
-    max_depth: int = 0
+    __slots__ = ("nodes", "propagations", "conflicts", "max_depth")
+
+    def __init__(self):
+        self.nodes = self.propagations = self.conflicts = self.max_depth = 0
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SearchStats) and all(
+            getattr(self, a) == getattr(other, a) for a in self.__slots__)
 
 
-@dataclass
-class _Problem:
+class _Problem(namedtuple(
+        "_Problem", "ids index ctx_masks mode sigs orth allowed")):
     """A set compiled for the search, and the start state of every search
     on it: orth, the at-most-one masks of all contexts (bitmasks in ids
     order), and allowed, the projectors that occur in some context.
     ctx_masks holds each context's members (see KSSet.members) and sigs
-    each projector's context signature (see KSSet.signatures)."""
+    each projector's context signature (see KSSet.signatures); ids are
+    the projector ids in order and index maps each to its position."""
 
-    ids: list[str]
-    index: dict[str, int]
-    ctx_masks: list[int]
-    mode: Mode
-    sigs: list[int]
-    orth: Sequence[int]
-    allowed: int
+    __slots__ = ()
 
     def drop_context(
         self, c: int, rest: int, orth: Sequence[int], allowed: int
@@ -113,18 +111,24 @@ class _Problem:
 
     def solve_without(
         self,
-        c: int,
+        run: int,
         active: int,
         orth: Sequence[int],
         allowed: int,
         stats: SearchStats | None,
     ) -> tuple[int | None, Sequence[int], int]:
-        """Search the active contexts (a bitmask) without context c.
+        """Search the active contexts without the contexts of run; both are
+        bitmasks of context indices, and run lies inside active.
 
         orth and allowed belong to active.  Returns the search's result
-        with the at-most-one masks and allowed projectors of active - c."""
-        rest = active & ~(1 << c)
-        orth, allowed = self.drop_context(c, rest, orth, allowed)
+        with the at-most-one masks and allowed projectors of active - run,
+        which drop_context gives context by context over the run."""
+        rest = active & ~run
+        while run:
+            bit = run & -run
+            run ^= bit
+            orth, allowed = self.drop_context(
+                bit.bit_length() - 1, rest, orth, allowed)
         masks = [m for ci, m in enumerate(self.ctx_masks) if rest >> ci & 1]
         return _solve(masks, orth, allowed, stats), orth, allowed
 
@@ -302,14 +306,12 @@ def is_parity(s: KSSet) -> bool:
     return all(sig.bit_count() % 2 == 0 for sig in s.signatures().values())
 
 
-@dataclass
-class CriticalityReport:
-    """Per-context removal outcomes: a witness assignment or None, and the
-    search counts of the whole check."""
+class CriticalityReport(namedtuple(
+        "CriticalityReport", "mode removals stats")):
+    """Per-context removal outcomes in removals, a witness Assignment or
+    None each, and stats, the SearchStats of the whole check."""
 
-    mode: Mode
-    removals: list[Assignment | None]
-    stats: SearchStats = field(default_factory=SearchStats)
+    __slots__ = ()
 
     @property
     def overall(self) -> bool:
@@ -330,7 +332,7 @@ def is_critical(s: KSSet, mode: Mode = Mode.FULL) -> CriticalityReport:
     removals: list[Assignment | None] = []
     for removed in range(len(problem.ctx_masks)):
         mask, _, allowed = problem.solve_without(
-            removed, every, problem.orth, problem.allowed, stats)
+            1 << removed, every, problem.orth, problem.allowed, stats)
         if mask is None:
             removals.append(None)
             continue
@@ -358,18 +360,40 @@ def reduce_critical(
     every subset of active - c.  Later removals only shrink active, so c
     stays necessary and a second scan would remove nothing.
 
+    The scan gallops: one search tests a run of the next k contexts, with
+    k starting at 1.  When active minus the run is uncolorable, the whole
+    run goes and k doubles; when it is colorable, k halves, and at k = 1 a
+    colorable answer keeps the context.  The core is the plain scan's, one
+    search per context, because uncolorability is monotone: every
+    superset of an uncolorable set of contexts is uncolorable.  For each
+    context of a removed run, the plain scan would test a superset of
+    active minus the run, and remove that context too; each kept context
+    is decided at k = 1 against the active set the plain scan has there.
+    A critical input keeps k = 1 and runs exactly the plain scan's
+    searches.
+
     The core is not validated again: its contexts are a subset of the
     validated input's contexts and its projectors are exactly those they
     use, and every check of validation holds on such a subset."""
     problem = _compile_uncolorable(s, mode, stats, "nothing to reduce")
-    active = (1 << len(problem.ctx_masks)) - 1  # bit ci: context ci is kept
+    n = len(problem.ctx_masks)
+    active = (1 << n) - 1  # bit ci: context ci is kept
     orth, allowed = problem.orth, problem.allowed
-    for c in range(len(problem.ctx_masks)):
+    c, k = 0, 1  # the first undecided context and the run length
+    while c < n:
+        k = min(k, n - c)  # a shorter run at the end
+        run = ((1 << k) - 1) << c
         mask, trial_orth, trial_allowed = problem.solve_without(
-            c, active, orth, allowed, stats)
+            run, active, orth, allowed, stats)
         if mask is None:
-            active &= ~(1 << c)
+            active &= ~run
             orth, allowed = trial_orth, trial_allowed
+            c += k
+            k *= 2
+        elif k > 1:
+            k //= 2
+        else:
+            c += 1
     contexts = [
         tuple(ctx) for ci, ctx in enumerate(s.contexts) if active >> ci & 1
     ]

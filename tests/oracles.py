@@ -9,7 +9,9 @@ equality: a comparison of canonical forms, each ray scaled to a leading 1.
 The orthogonality graph is recomputed from one exact inner product per pair
 of span rays, with no shortcut.  The exhaustive pairing search certifies
 that the index-aligned pairing every table row and catalog chain uses,
-default_pairing(9, 7), already gives the most merges.
+default_pairing(9, 7), already gives the most merges.  The greedy
+reduction is replayed as the plain one-scan, one new set and one
+find_assignment per context.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from collections.abc import Callable, Iterable, Sequence
 from ksets.construct import _check_pairing, _parity_pair
 from ksets.cyclo import _POW, DEGREE, CycNum
 from ksets.errors import InvalidPairingError
-from ksets.model import KSSet, Ray, inner, orthogonality_graph
-from ksets.verify import Mode
+from ksets.model import Context, KSSet, Ray, inner, orthogonality_graph
+from ksets.verify import Mode, find_assignment
 
 
 def reference_galois(x: CycNum, k: int) -> CycNum:
@@ -84,6 +86,25 @@ def reference_orth(s: KSSet, mode: Mode, active: Iterable[int]) -> list[int]:
                 if p != q:
                     orth[index[p]] |= 1 << index[q]
     return orth
+
+
+def reference_reduce(s: KSSet, mode: Mode) -> list[Context]:
+    """The contexts the greedy one-scan keeps: each context in ascending
+    order is left out of a new set over the other remaining contexts and
+    the projectors they use, and goes when find_assignment colors none of
+    that set.  Nothing is carried from one trial to the next."""
+    contexts = list(s.contexts)
+    i = 0
+    while i < len(contexts):
+        trial = contexts[:i] + contexts[i + 1:]
+        used = {pid for ctx in trial for pid in ctx}
+        sub = KSSet(s.dimension, {pid: p for pid, p in s.projectors.items()
+                                  if pid in used}, trial)
+        if find_assignment(sub, mode) is None:
+            contexts = trial
+        else:
+            i += 1
+    return contexts
 
 
 def brute_force_witness(

@@ -109,6 +109,22 @@ def test_python_m_ksets():
     assert proc.stdout.splitlines() == ["compact: 18-9", "detailed: 18^1_2 - 9^4_4"]
 
 
+@pytest.mark.parametrize("module", ["ksets", "ksets.cli"])
+def test_import_leaves_out_dataclasses_and_inspect(module):
+    # Start-up guard: a fresh interpreter importing the package loads
+    # neither dataclasses nor inspect (which dataclasses imports, with ast,
+    # dis and tokenize).  This process has both, so a child checks.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src)
+    code = ("import sys; before = set(sys.modules); import " + module + "; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]"]
+
+
 def test_verify_missing_file(capsys):
     code, _, err = run(capsys, "verify", "no-such-thing")
     assert code == 3

@@ -8,7 +8,6 @@ import hashlib
 import random
 import re
 import tracemalloc
-from dataclasses import replace
 from math import isqrt
 
 import pytest
@@ -60,7 +59,7 @@ from ksets.verify import (
     is_ks,
     is_parity,
 )
-from oracles import count_merges, optimize_pairing
+from oracles import count_merges, optimize_pairing, reference_reduce
 
 
 # -- basic direct sum ------------------------------------------------
@@ -628,17 +627,20 @@ def test_census_cores_are_pinned():
         "1442e2551a09e27711a4b6cc6300aa8767c67b1791def3827a9368757eb4415a")
 
 
-# (kept contexts, (nodes, propagations, conflicts, max depth)), counted with
-# the solver that preceded fused branch selection and incremental masks.
+# (kept contexts, (nodes, propagations, conflicts, max depth)).  The rows of
+# the critical seeds were counted with the solver that preceded fused branch
+# selection and incremental masks; a critical input runs exactly the plain
+# scan's searches.  The ceg and census rows were counted again when the scan
+# began to gallop: the kept contexts stayed, the searches changed.
 REDUCE_COUNTS = {
     ("d4-18-9", Mode.FULL): (9, (53, 75, 31, 3)),
     ("d4-18-9", Mode.CONTEXT_ONLY): (9, (58, 32, 22, 5)),
     ("d6-21-7", Mode.FULL): (7, (73, 0, 78, 3)),
     ("d6-21-7", Mode.CONTEXT_ONLY): (7, (65, 6, 48, 5)),
-    ("ceg", Mode.FULL): (16, (196, 471, 172, 4)),
-    ("ceg", Mode.CONTEXT_ONLY): (18, (306, 311, 264, 5)),
-    ("census", Mode.FULL): (12, (375, 2383, 404, 5)),
-    ("census", Mode.CONTEXT_ONLY): (11, (393, 983, 387, 7)),
+    ("ceg", Mode.FULL): (16, (189, 419, 152, 4)),
+    ("ceg", Mode.CONTEXT_ONLY): (18, (319, 324, 274, 5)),
+    ("census", Mode.FULL): (12, (394, 2132, 357, 5)),
+    ("census", Mode.CONTEXT_ONLY): (11, (394, 801, 281, 7)),
 }
 
 
@@ -656,6 +658,28 @@ def test_reduce_critical_search_counts_are_pinned(name, mode):
     assert (out.n_contexts, counts) == REDUCE_COUNTS[name, mode]
     # reduce_critical does not validate its core; the core must be valid
     assert validate(out).ok
+
+
+def _reduce_inputs():
+    rng = random.Random(0)
+    n = census_set().n_contexts
+    for i in range(20):
+        order = list(range(n))
+        rng.shuffle(order)
+        yield f"census order {i}", census_set(order)
+    yield "d3-57-40", catalog.seed_set("d3-57-40")
+    yield "d3-49-36", catalog.seed_set("d3-49-36")
+    s18 = catalog.seed_set("d4-18-9")
+    yield "ceg(d4-18-9, 5)", ceg(s18, 5)
+    yield "pz_basic(d4-18-9, d6-21-7)", pz_basic(s18, catalog.seed_set("d6-21-7"))
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_galloping_reduction_keeps_the_one_scan_core(mode):
+    # reduce_critical drops runs of contexts with one search each; it must
+    # keep exactly the contexts of the plain one-scan, in the same order
+    for label, s in _reduce_inputs():
+        assert reduce_critical(s, mode).contexts == reference_reduce(s, mode), label
 
 
 def test_reduce_basic_sum(s18, s21):
@@ -852,7 +876,7 @@ def _step_by_step(chain: str) -> KSSet:
 
 
 def _without_name(s: KSSet) -> str:
-    return setfile.serialize(replace(s, name=None))
+    return setfile.serialize(s.copy(name=None))
 
 
 @pytest.mark.parametrize("chain", _table_chains() + [
@@ -883,7 +907,7 @@ def test_build_chain_rejects_a_faulty_inner_step(monkeypatch):
         u, v, *rest = out.projectors[b].span
         tilted = Ray([x + y for x, y in zip(out.projectors[a].span[0].entries,
                                             u.entries)])
-        return replace(out, projectors={
+        return out.copy(projectors={
             **out.projectors, b: Projector((tilted, v, *rest))})
 
     monkeypatch.setattr(construct, "rank_scale", faulty)

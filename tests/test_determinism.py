@@ -1,7 +1,7 @@
 """Source guards on the package: no module imports random, as the README
 promises that no probabilistic step enters any decision, the constructions
 make their sets in one place and leave them as made, a set's graph state is
-written in three places, the catalog makes and symbol-checks its sets in
+written in four places, the catalog makes and symbol-checks its sets in
 one place, and every name the package exports resolves."""
 
 from __future__ import annotations
@@ -66,8 +66,9 @@ def _owners(tree: ast.AST) -> dict[int, str]:
 
 
 def test_graph_state_is_written_only_where_it_is_made():
-    # KSSet._orth is filled by orthogonality_graph, carried over into a new
-    # set by _assemble, and copied back to a chain's seed by build_chain
+    # KSSet._orth is set by KSSet.__init__ from its argument, filled by
+    # orthogonality_graph, carried over into a new set by _assemble, and
+    # copied back to a chain's seed by build_chain
     writers = set()
     for path in sorted(Path(ksets.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -82,6 +83,7 @@ def test_graph_state_is_written_only_where_it_is_made():
                            for a in node.args)):
                 writers.add((path.name, owner.get(id(node)), ast.unparse(node.func)))
     assert writers == {
+        ("model.py", "__init__", "self"),
         ("model.py", "orthogonality_graph", "s"),
         ("construct.py", "_assemble", "KSSet"),
         ("construct.py", "build_chain", "seed"),
