@@ -46,6 +46,8 @@ from .model import (
     Ray,
     SubspaceIndex,
     ensure_valid,
+    inner,
+    orthogonal,
     orthogonality_graph,
 )
 from .setfile import _fresh, _ray_ids
@@ -393,21 +395,15 @@ def apply_transform(s: KSSet, matrix: list[list[CycNum]]) -> KSSet:
     d = s.dimension
     if len(matrix) != d or any(len(row) != d for row in matrix):
         raise NotScaledUnitaryError(f"matrix must be {d}x{d}")
-    scale: CycNum | None = None
-    for i in range(d):
-        for j in range(i, d):
-            g = ZERO
-            for k in range(d):
-                g = g + matrix[k][i].conj() * matrix[k][j]
-            if i == j:
-                if scale is None:
-                    scale = g
-                elif g != scale:
-                    raise NotScaledUnitaryError("columns have unequal norms")
-            elif not g.is_zero():
+    cols = [Ray(row[j] for row in matrix) for j in range(d)]
+    scale = inner(cols[0], cols[0])
+    for i, col in enumerate(cols):
+        if inner(col, col) != scale:
+            raise NotScaledUnitaryError("columns have unequal norms")
+        for j in range(i + 1, d):
+            if not orthogonal(col, cols[j]):
                 raise NotScaledUnitaryError(f"columns {i} and {j} not orthogonal")
-    assert scale is not None
-    if scale.is_zero() or not scale.is_real():
+    if scale.is_zero():
         raise NotScaledUnitaryError("column norm must be a nonzero real scalar")
 
     def apply(ray: Ray) -> Ray:

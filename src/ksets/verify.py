@@ -4,7 +4,9 @@ reduction to a critical core.
 A valuation assigns 0/1 to every projector so that each complete context
 contains exactly one 1 and (in full mode) no two orthogonal projectors are
 both 1.  The search is complete: exhaustive backtracking over contexts with
-unit propagation, so absence of a witness is a proof of uncolorability.
+unit propagation, so absence of a witness is a proof of uncolorability.  It
+runs as one depth-first loop over an explicit stack of states, so its depth
+is bounded by memory, not by the interpreter's recursion limit.
 _check states the rule once, on projector ids and the orthogonality masks,
 and re-checks every witness the search returns, those of is_critical's
 removals included, also under python -O.
@@ -75,39 +77,15 @@ class SearchStats:
 
 
 class _Problem(namedtuple(
-        "_Problem", "ids index ctx_masks mode sigs orth allowed")):
+        "_Problem", "ids ctx_masks mode sigs orth allowed")):
     """A set compiled for the search, and the start state of every search
     on it: orth, the at-most-one masks of all contexts (bitmasks in ids
     order), and allowed, the projectors that occur in some context.
     ctx_masks holds each context's members (see KSSet.members) and sigs
     each projector's context signature (see KSSet.signatures); ids are
-    the projector ids in order and index maps each to its position."""
+    the projector ids in order."""
 
     __slots__ = ()
-
-    def drop_context(
-        self, c: int, rest: int, orth: Sequence[int], allowed: int
-    ) -> tuple[Sequence[int], int]:
-        """At-most-one masks and allowed projectors once context c leaves.
-
-        orth and allowed belong to the active contexts, rest is their
-        bitmask without c.  Only c's members can change: each keeps what the
-        rest of its contexts give it, and is no longer allowed when none is
-        left.  Full-mode masks never change."""
-        by_context = self.mode is Mode.CONTEXT_ONLY
-        if by_context:
-            orth = list(orth)
-        members = self.ctx_masks[c]
-        while members:
-            bit = members & -members
-            members ^= bit
-            v = bit.bit_length() - 1
-            row = union_of(self.ctx_masks, self.sigs[v] & rest)
-            if not row:
-                allowed &= ~bit
-            if by_context:
-                orth[v] = row & ~bit
-        return orth, allowed
 
     def solve_without(
         self,
@@ -121,14 +99,26 @@ class _Problem(namedtuple(
         bitmasks of context indices, and run lies inside active.
 
         orth and allowed belong to active.  Returns the search's result
-        with the at-most-one masks and allowed projectors of active - run,
-        which drop_context gives context by context over the run."""
+        with the at-most-one masks and allowed projectors of active - run.
+        Only the run's members can change: each keeps what the rest of its
+        contexts give it, and is no longer allowed when none is left.  A
+        member's row depends only on rest, so dropping the run at once
+        equals dropping its contexts one by one.  Full-mode masks never
+        change."""
         rest = active & ~run
-        while run:
-            bit = run & -run
-            run ^= bit
-            orth, allowed = self.drop_context(
-                bit.bit_length() - 1, rest, orth, allowed)
+        by_context = self.mode is Mode.CONTEXT_ONLY
+        if by_context:
+            orth = list(orth)
+        members = union_of(self.ctx_masks, run)
+        while members:
+            bit = members & -members
+            members ^= bit
+            v = bit.bit_length() - 1
+            row = union_of(self.ctx_masks, self.sigs[v] & rest)
+            if not row:
+                allowed &= ~bit
+            if by_context:
+                orth[v] = row & ~bit
         masks = [m for ci, m in enumerate(self.ctx_masks) if rest >> ci & 1]
         return _solve(masks, orth, allowed, stats), orth, allowed
 
@@ -136,7 +126,6 @@ class _Problem(namedtuple(
 def _compile(s: KSSet, mode: Mode) -> _Problem:
     ensure_valid(s)
     ids = list(s.projectors)
-    index = {pid: i for i, pid in enumerate(ids)}
     ctx_masks = s.members()
     sigs = list(s.signatures().values())
     allowed = union_of(ctx_masks, (1 << len(ctx_masks)) - 1)
@@ -147,7 +136,7 @@ def _compile(s: KSSet, mode: Mode) -> _Problem:
         # Only projectors that share a context exclude each other.
         orth = [union_of(ctx_masks, sig) & ~(1 << v)
                 for v, sig in enumerate(sigs)]
-    return _Problem(ids, index, ctx_masks, mode, sigs, orth, allowed)
+    return _Problem(ids, ctx_masks, mode, sigs, orth, allowed)
 
 
 def _solve(
@@ -162,8 +151,10 @@ def _solve(
     projectors that a 1 at v forces to 0, and projectors outside allowed
     start at 0.  Branches on the unsatisfied context with the fewest
     undecided members (ties to the first in masks); members are tried in
-    ascending projector index, so results are deterministic.  The counts
-    of the search are added to stats when it is given.
+    ascending projector index, so results are deterministic.  One
+    depth-first loop runs the search over an explicit stack of the states
+    on the current path, so no recursion limit bounds its depth.  The
+    counts of the search are added to stats when it is given.
     """
     nodes = propagations = conflicts = max_depth = 0
 
@@ -174,7 +165,8 @@ def _solve(
         applied.  The fixpoint does not depend on the order units are found
         in.  The last pass finds no unit; it also collects the masks still
         unsatisfied and picks the branch, returned as its undecided mask
-        (0 when every context is satisfied)."""
+        (0 when every context is satisfied).  The state comes back as the
+        list [ones, zeros, still, branch], which is the search's frame."""
         nonlocal propagations
         while True:
             while new:
@@ -205,38 +197,40 @@ def _solve(
                 else:
                     return None
             if not new:
-                return ones, zeros, still, branch
+                return [ones, zeros, still, branch]
 
-    def search(ones: int, zeros: int, open_masks, branch: int, depth: int):
-        nonlocal nodes, conflicts, max_depth
-        nodes += 1
-        if depth > max_depth:
-            max_depth = depth
-        if not branch:
-            return ones
-        depth += 1
-        rest = branch
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            state = propagate(ones | bit, zeros, bit, open_masks)
-            if state is None:
-                conflicts += 1
-                continue
-            result = search(*state, depth)
-            if result is not None:
-                return result
-        return None
-
+    # A frame's branch mask keeps the members not yet tried; a child of the
+    # top frame has depth len(stack).
+    result = None
+    stack = []
     state = propagate(0, ~allowed, 0, masks)
     if state is None:
-        conflicts += 1
-        result = None
+        conflicts = 1
     else:
-        result = search(*state, 0)
-    # search reaches itself through its closure cell; emptying the cell
-    # frees the closure now instead of at the next cyclic collection.
-    del search
+        nodes = 1
+        if state[3]:
+            stack.append(state)
+        else:
+            result = state[0]
+    while stack:
+        frame = stack[-1]
+        branch = frame[3]
+        if not branch:
+            stack.pop()
+            continue
+        bit = branch & -branch
+        frame[3] = branch ^ bit
+        state = propagate(frame[0] | bit, frame[1], bit, frame[2])
+        if state is None:
+            conflicts += 1
+            continue
+        nodes += 1
+        if len(stack) > max_depth:
+            max_depth = len(stack)
+        if not state[3]:
+            result = state[0]
+            break
+        stack.append(state)
     if stats is not None:
         stats.nodes += nodes
         stats.propagations += propagations
@@ -372,9 +366,11 @@ def reduce_critical(
     A critical input keeps k = 1 and runs exactly the plain scan's
     searches.
 
-    The core is not validated again: its contexts are a subset of the
-    validated input's contexts and its projectors are exactly those they
-    use, and every check of validation holds on such a subset."""
+    The core is a new set, not yet validated, so its first reader
+    validates it (ksets reduce does so through serialize).  That check
+    passes: its contexts are a subset of the validated input's contexts,
+    its projectors are exactly those they use, and every check of
+    validation holds on such a subset."""
     problem = _compile_uncolorable(s, mode, stats, "nothing to reduce")
     n = len(problem.ctx_masks)
     active = (1 << n) - 1  # bit ci: context ci is kept
@@ -411,6 +407,7 @@ def export_cnf(s: KSSet, mode: Mode = Mode.FULL) -> str:
     """
     problem = _compile(s, mode)
     n = len(problem.ids)
+    index = {pid: i for i, pid in enumerate(problem.ids)}
     pairs = []
     for i, m in enumerate(problem.orth):
         later = m >> (i + 1)
@@ -423,7 +420,7 @@ def export_cnf(s: KSSet, mode: Mode = Mode.FULL) -> str:
         lines.append(f"c var {i + 1} = projector {pid}")
     lines.append(f"p cnf {n} {len(s.contexts) + len(pairs)}")
     for ctx in s.contexts:
-        lits = " ".join(str(problem.index[pid] + 1) for pid in ctx)
+        lits = " ".join(str(index[pid] + 1) for pid in ctx)
         lines.append(f"{lits} 0")
     for i, j in pairs:
         lines.append(f"-{i + 1} -{j + 1} 0")

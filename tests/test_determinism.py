@@ -2,7 +2,8 @@
 promises that no probabilistic step enters any decision, the constructions
 make their sets in one place and leave them as made, a set's graph state is
 written in four places, the catalog makes and symbol-checks its sets in
-one place, and every name the package exports resolves."""
+one place, no function calls itself, and every name the package exports
+resolves."""
 
 from __future__ import annotations
 
@@ -131,6 +132,44 @@ def test_catalog_makes_and_checks_sets_only_in_load():
     # Every named set is parsed or built, and its symbol checked against the
     # recorded one, in catalog._load, so no load path skips the check.
     offenders = _calls_outside(catalog, "_load", {"parse", "build_chain", "symbol"})
+    assert not offenders, offenders
+
+
+def _calls_by_name(call: ast.AST, name: str) -> bool:
+    """True when call is name(...), self.name(...) or cls.name(...)."""
+    if not isinstance(call, ast.Call):
+        return False
+    func = call.func
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return func.attr == name and func.value.id in ("self", "cls")
+    return isinstance(func, ast.Name) and func.id == name
+
+
+def _self_calls(tree: ast.AST, prefix: str) -> list[str]:
+    """The qualified names of the functions under tree that call themselves
+    by name."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = f"{prefix}.{node.name}"
+            if any(_calls_by_name(call, node.name) for call in ast.walk(node)):
+                found.append(name)
+            found += _self_calls(node, name)
+        elif isinstance(node, ast.ClassDef):
+            found += _self_calls(node, f"{prefix}.{node.name}")
+        else:
+            found += _self_calls(node, prefix)
+    return found
+
+
+def test_no_function_calls_itself():
+    # Recursion depth is bounded by the interpreter, and the inputs are not:
+    # the colorability search runs over an explicit stack, and so must every
+    # other walk whose depth an input decides.
+    offenders = []
+    for path in sorted(Path(ksets.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += _self_calls(tree, path.stem)
     assert not offenders, offenders
 
 

@@ -25,7 +25,6 @@ from ksets.verify import (
     SearchStats,
     _check,
     _compile,
-    _solve,
     export_cnf,
     find_assignment,
     is_critical,
@@ -270,20 +269,17 @@ def census_subsets(draw) -> KSSet:
 def test_search_agrees_with_brute_force_on_census_subsets(s, mode, data):
     removed = data.draw(st.none() | st.integers(0, s.n_contexts - 1))
     problem = _compile(s, mode)
-    masks = problem.ctx_masks
-    orth, allowed = problem.orth, problem.allowed
-    sub = s
+    every = (1 << len(problem.ctx_masks)) - 1
+    run, sub = 0, s
     if removed is not None:
-        rest = _union(1 << ci for ci in range(len(masks)) if ci != removed)
-        orth, allowed = problem.drop_context(removed, rest, orth, allowed)
-        masks = [m for ci, m in enumerate(masks) if ci != removed]
-        sub = drop_context(s, removed)
-    mask = _solve(masks, orth, allowed)
+        run, sub = 1 << removed, drop_context(s, removed)
+    mask, _, _ = problem.solve_without(
+        run, every, problem.orth, problem.allowed, None)
     brute = brute_force_witness(s, mode, removed=removed)
     assert (mask is None) == (brute is None)
     assert (find_assignment(sub, mode) is None) == (brute is None)
     if mask is not None:
-        values = {pid: mask >> problem.index[pid] & 1 for pid in sub.projectors}
+        values = {pid: mask >> problem.ids.index(pid) & 1 for pid in sub.projectors}
         assert _check(sub, Assignment(values), mode)
 
 
@@ -301,21 +297,28 @@ def test_drop_context_matches_rebuilt_masks(name, mode):
     def bits(active):
         return _union(1 << ci for ci in active)
 
+    def drop(run, active, orth, allowed):
+        _, orth, allowed = problem.solve_without(
+            bits(run), bits(active), orth, allowed, None)
+        return list(orth), allowed
+
     every = set(range(n))
-    orth, allowed = problem.orth, problem.allowed
-    assert (list(orth), allowed) == expect(every)
+    assert (list(problem.orth), problem.allowed) == expect(every)
     for c in range(n):
-        got_orth, got_allowed = problem.drop_context(
-            c, bits(every - {c}), orth, allowed)
-        assert (list(got_orth), got_allowed) == expect(every - {c})
-    # dropping along a chain, as reduce_critical does
+        assert drop({c}, every, problem.orth, problem.allowed) == expect(
+            every - {c})
+    # dropping runs of k contexts along a chain, as reduce_critical does;
+    # k = 1 drops one context at a time
     order = list(range(n))
     random.Random(n).shuffle(order)
-    active = set(every)
-    for c in order[:-1]:
-        active.discard(c)
-        orth, allowed = problem.drop_context(c, bits(active), orth, allowed)
-        assert (list(orth), allowed) == expect(active)
+    for k in range(1, 5):
+        active = set(every)
+        orth, allowed = problem.orth, problem.allowed
+        for start in range(0, n - k, k):
+            run = set(order[start:start + k])
+            orth, allowed = drop(run, active, orth, allowed)
+            active -= run
+            assert (orth, allowed) == expect(active)
 
 
 def test_criticality_removals_are_pinned():
@@ -371,6 +374,39 @@ def test_search_counts_are_pinned(name, mode):
     nodes, props, conflicts, depth = SEARCH_COUNTS[name, mode]
     assert _counts(stats) == (2 * nodes, 2 * props, 2 * conflicts, depth)
     assert _counts(is_critical(s, mode).stats) == CRITICAL_COUNTS[name, mode]
+
+
+def _frame_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_search_depth_is_not_bounded_by_the_interpreter(mode):
+    # n independent d = 2 bases {(1, a), (-a, 1)}: no ray is orthogonal to
+    # a ray of another basis, so the search decides one basis per level
+    # and reaches depth n without a conflict.  Under a recursion limit only
+    # about 100 frames above this one, a search that recursed once per
+    # decision would raise RecursionError.
+    n = 300
+    projs, contexts = {}, []
+    for a in range(n):
+        projs[f"u{a}"] = Projector((make_ray(1, a),))
+        projs[f"w{a}"] = Projector((make_ray(-a, 1),))
+        contexts.append((f"u{a}", f"w{a}"))
+    s = KSSet(2, projs, contexts)
+    stats = SearchStats()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 100)
+    try:
+        asg = find_assignment(s, mode, stats)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert asg is not None and _check(s, asg, mode)
+    assert _counts(stats) == (n + 1, 0, 0, n)
 
 
 @pytest.mark.parametrize("mode", list(Mode))
