@@ -13,10 +13,14 @@ callers that need the value.  Equal subspaces are found through one hash
 index, SubspaceIndex, shared by validate and construct._assemble, the step
 every construction builds its output through.  A subspace of any rank, a
 single ray included, is keyed by its rank and one residue, w'^T P w mod N
-for its orthogonal projector P and two fixed probe vectors, computed once
-per projector (Projector.key), and a key match is confirmed exactly by
+for its orthogonal projector P and two probe vectors of powers, computed
+once per projector (Projector.key), and a key match is confirmed exactly by
 Pythagoras: a vector lies in a span when its projection keeps all of its
-norm.  Rays compare as rank-1 projectors, through projector_equal.
+norm.  Shifting a window multiplies the probes by a fixed power, so each
+packing computes its part of every key once, and a key costs one product
+per span ray.  Rays compare as rank-1 projectors, through projector_equal.
+validate takes each ray product once per pair of packings and shift, so
+the block copies of a construction repeat none.
 The full orthogonality relation of a set is computed once, as one integer
 bitmask per projector; it takes pairs with disjoint supports and pairs that
 validation proved orthogonal in a shared context without a product, and
@@ -47,29 +51,42 @@ class Ray:
     It is packed when made, over its support window, the entries _lo up to
     the last nonzero one: _vals and _conjs hold the images (cyclo.pack) of
     those entries and of their conjugates, scaled by the lcm _lcm of their
-    denominators, and _norm1 the L1 norm of the scaled numerators.  A padded
-    copy (padded) shares the packing and only moves _lo."""
+    denominators, _norm1 the L1 norm of the scaled numerators, and _key the
+    window's key constant (see _subspace_key), or None when it has none.  A
+    padded copy (padded) shares the packing and only moves _lo."""
 
-    __slots__ = ("entries", "support", "_lo", "_vals", "_conjs", "_lcm", "_norm1")
+    __slots__ = ("entries", "support", "_lo", "_vals", "_conjs", "_lcm",
+                 "_norm1", "_key")
 
     def __init__(self, entries):
         self.entries: tuple[CycNum, ...] = tuple(entries)
         support = [i for i, e in enumerate(self.entries) if not e.is_zero()]
         lo, hi = (support[0], support[-1] + 1) if support else (0, 0)
         l = lcm(*(self.entries[i].den for i in support))
-        vals, conjs, norm1 = [0] * (hi - lo), [0] * (hi - lo), 0
+        vals, conjs, norm1, n = [0] * (hi - lo), [0] * (hi - lo), 0, 0
         for i in support:
             e = self.entries[i]
             m = l // e.den
             v = vals[i - lo] = pack(e) * m
-            conjs[i - lo] = v if e.israt else pack(e.conj()) * m
+            c = conjs[i - lo] = v if e.israt else pack(e.conj()) * m
             norm1 += m * sum(map(abs, e.num))
+            n += c * v
         self.support = frozenset(support)
         self._lo = lo
         self._vals = tuple(vals)
         self._conjs = self._vals if conjs == vals else tuple(conjs)
         self._lcm = l
         self._norm1 = norm1
+        # K = L R / n, L = sum_j h^j v_j and R = sum_j c_j g^j by Horner
+        # over the window, with n the packed norm.
+        left = right = 0
+        for v, c in zip(reversed(vals), reversed(conjs)):
+            left = left * _H + v
+            right = right * _G + c
+        try:
+            self._key = left * right % PACK_MOD * pow(n, -1, PACK_MOD) % PACK_MOD
+        except ValueError:
+            self._key = None
 
     def padded(self, prepend: int, append: int) -> Ray:
         """This ray with prepend zeros before its entries and append zeros
@@ -80,7 +97,7 @@ class Ray:
                        if prepend else self.support)
         out._lo = self._lo + prepend
         out._vals, out._conjs = self._vals, self._conjs
-        out._lcm, out._norm1 = self._lcm, self._norm1
+        out._lcm, out._norm1, out._key = self._lcm, self._norm1, self._key
         return out
 
     @property
@@ -282,17 +299,20 @@ def _dot(u: Ray, v: Ray) -> int:
     return sum(map(mul, u._conjs[-shift:], v._vals))
 
 
-def projector_orthogonal(p: Projector, q: Projector) -> bool:
-    """True when every span ray of p is orthogonal to every span ray of q.
+def projector_orthogonal(p: Projector, q: Projector,
+                         orthogonal_rays=None) -> bool:
+    """True when every span ray of p is orthogonal to every span ray of q,
+    each pair decided by orthogonal_rays(u, v), orthogonal unless given.
     Rays with disjoint supports are orthogonal without a product."""
     dp, dq = len(p.span[0].entries), len(q.span[0].entries)
     if dp != dq:
         raise DimensionMismatch(f"dimensions {dp} != {dq}")
     if p.support.isdisjoint(q.support):
         return True
+    test = orthogonal_rays or orthogonal
     for u in p.span:
         for v in q.span:
-            if not u.support.isdisjoint(v.support) and not orthogonal(u, v):
+            if not u.support.isdisjoint(v.support) and not test(u, v):
                 return False
     return True
 
@@ -325,23 +345,14 @@ def projector_equal(p: Projector, q: Projector) -> bool:
     return all(_in_span(u, q.span) for u in p.span)
 
 
+# The probe bases g != h of subspace keys: pseudo-random 64-bit constants.
+_G, _H = 0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F
+
+
 @cache
-def _probe(d: int) -> tuple[tuple[int, ...], ...]:
-    """The probe vectors w and w' of subspace keys in dimension d: w_i =
-    g^(i+1) and w'_i = h^(i+1) modulo the prime 2^61 - 1, for fixed g != h.
-    Any probes give equal subspaces equal keys; pseudo-random ones make
-    equal keys of distinct subspaces, which projector_equal then tells
-    apart, unlikely, and word-sized ones keep the products cheap.  w' must
-    not be a multiple of w: w^T P w only sees P + P^T, which a ray and its
-    complex conjugate share."""
-    probes = []
-    for g in (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F):
-        out, w = [], 1
-        for _ in range(d):
-            w = w * g % ((1 << 61) - 1)
-            out.append(w)
-        probes.append(tuple(out))
-    return tuple(probes)
+def _shift(lo: int) -> int:
+    """(gh)^lo mod N, the factor of a window that starts at entry lo."""
+    return pow(_G * _H, lo, PACK_MOD)
 
 
 def _subspace_key(proj: Projector) -> Hashable | None:
@@ -351,42 +362,32 @@ def _subspace_key(proj: Projector) -> Hashable | None:
     w'^T P w = sum_k (w'^T q_k) (q_k^dagger w) / n_k, with
     P = sum_k q_k q_k^dagger / n_k the orthogonal projector onto the span
     (q_k the span rays, which must be mutually orthogonal, and
-    n_k = <q_k, q_k>) and (w, w') = _probe(d).  z -> X is a ring
-    homomorphism and the images of the n_k are units mod N, so equal
-    subspaces, having equal P, get equal keys whatever their bases; for a
-    ray, any nonzero multiple gives the same P.  The key is None when
-    prod n_k is not a unit mod N; every prime factor of N exceeds 10^6, so
-    only huge entries do this."""
-    span = proj.span
-    w, w2 = _probe(len(span[0].entries))
-    # Scaling q_k by its lcm (the packed images) scales q_k q_k^dagger and
-    # n_k alike.  The sums run over the support, entry i at i - _lo of the
-    # window: padded rays are mostly zeros.
-    norms, terms = [], []
-    for q in span:
-        conjs, vals, lo = q._conjs, q._vals, q._lo
-        n = left = right = 0
-        for i in q.support:
-            c, v = conjs[i - lo], vals[i - lo]
-            n += c * v
-            left += w2[i] * v
-            right += c * w[i]
-        norms.append(n % PACK_MOD)
-        terms.append(left * right % PACK_MOD)
-    # One inverse serves every n_k: prefix[k] = n_0 ... n_{k-1}.
-    prefix = [1]
-    for n in norms:
-        prefix.append(prefix[-1] * n % PACK_MOD)
-    try:
-        inv = pow(prefix[-1], -1, PACK_MOD)
-    except ValueError:
-        return None
+    n_k = <q_k, q_k>) and the probes w_i = g^i and w'_i = h^i mod N.
+    z -> X is a ring homomorphism and the images of the n_k are units mod
+    N, so equal subspaces, having equal P, get equal keys whatever their
+    bases; for a ray, any nonzero multiple gives the same P.
+
+    The probes are shifted copies of themselves: with v_j and c_j the
+    packed images of entry lo + j of q and of its conjugate (Ray), w'^T q =
+    h^lo L and q^dagger w = g^lo R for L = sum_j h^j v_j and
+    R = sum_j c_j g^j, so the term of q is (gh)^lo K with K = L R / n the
+    constant of its window (Ray._key).  Each packing computes K once, and
+    its padded copies, which only move lo, share it; a key takes one
+    product per span ray.  Scaling q by the lcm of its denominators (the
+    packed images) scales q q^dagger and n alike.  The key is None when
+    some n_k is not a unit mod N; every prime factor of N exceeds 10^6, so
+    only huge entries do this.
+
+    Pseudo-random bases make equal keys of distinct subspaces, which
+    projector_equal then tells apart, unlikely; small ones such as 3 and 5
+    collide inside d3-49-36.  w' must not be a multiple of w: w^T P w only
+    sees P + P^T, which a ray and its complex conjugate share."""
     total = 0
-    for k in range(len(span) - 1, -1, -1):
-        # inv is 1 / prefix[k + 1] here, so inv * prefix[k] = 1 / n_k.
-        total += terms[k] * (inv * prefix[k] % PACK_MOD)
-        inv = inv * norms[k] % PACK_MOD
-    return len(span), total % PACK_MOD
+    for q in proj.span:
+        if q._key is None:
+            return None
+        total += q._key * _shift(q._lo) if q._lo else q._key
+    return len(proj.span), total % PACK_MOD
 
 
 class SubspaceIndex:
@@ -445,6 +446,19 @@ def validate(s: KSSet) -> ValidationReport:
     if s.dimension < 1:
         report.add(f"dimension {s.dimension} < 1")
         return report
+    # A product depends only on the packings of its rays and the shift
+    # between their windows, and padded copies share their source's packing
+    # (Ray.padded), so each is taken once per (packing of u, packing of v,
+    # shift).  The ids stay valid for the call: s holds every ray.
+    products: dict[tuple[int, int, int], bool] = {}
+
+    def packed_orthogonal(u: Ray, v: Ray) -> bool:
+        pair = (id(u._vals), id(v._vals), u._lo - v._lo)
+        known = products.get(pair)
+        if known is None:
+            known = products[pair] = orthogonal(u, v)
+        return known
+
     for pid, proj in s.projectors.items():
         if not proj.span:
             report.add(f"projector {pid}: empty span")
@@ -462,7 +476,7 @@ def validate(s: KSSet) -> ValidationReport:
         for i, u in enumerate(span):
             for j in range(i + 1, len(span)):
                 v = span[j]
-                if not u.support.isdisjoint(v.support) and not orthogonal(u, v):
+                if not u.support.isdisjoint(v.support) and not packed_orthogonal(u, v):
                     report.add(f"projector {pid}: span rays {i} and {j} not orthogonal")
     if not report.ok:
         return report
@@ -496,7 +510,7 @@ def validate(s: KSSet) -> ValidationReport:
             near = overlaps[bits[ctx[i]]]
             for j in range(i + 1, len(ctx)):
                 if near >> bits[ctx[j]] & 1 and not projector_orthogonal(
-                    s.projectors[ctx[i]], s.projectors[ctx[j]]
+                    s.projectors[ctx[i]], s.projectors[ctx[j]], packed_orthogonal
                 ):
                     report.add(
                         f"context {ci}: members {ctx[i]} and {ctx[j]} "

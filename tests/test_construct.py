@@ -933,20 +933,30 @@ def test_build_chain_leaves_its_seeds_and_output_checked():
 def test_table_build_pass_work_counts(monkeypatch):
     # One pass of the 112 table chains with is_ks, once the seeds and their
     # graphs are loaded: one validate per chain that does not give a seed,
-    # and the products the carried masks leave to validate and the graphs.
-    # The counts are the same on every host.
+    # the products the carried masks leave to validate and the graphs, with
+    # validate's taken once per packing pair, and one key window per new
+    # packing, each Ray.__init__.  The counts are the same on every host.
     chains = _table_chains()
     for name in (*catalog.NAMES, *catalog.SEED_NAMES):
         orthogonality_graph(catalog.seed_set(name))
-    counts = dict.fromkeys(("validate", "projector_orthogonal"), 0)
+    counts = dict.fromkeys(("validate", "projector_orthogonal", "orthogonal"), 0)
     for name in counts:
         def counting(*args, name=name, original=getattr(model, name)):
             counts[name] += 1
             return original(*args)
 
         monkeypatch.setattr(model, name, counting)
+
+    def packing(ray, entries, original=model.Ray.__init__):
+        counts["windows"] += 1
+        original(ray, entries)
+
+    counts["windows"] = 0
+    monkeypatch.setattr(model.Ray, "__init__", packing)
     for chain in chains:
         assert is_ks(build_chain(chain))
     assert len(chains) == 112
     assert counts["validate"] <= 103
     assert counts["projector_orthogonal"] <= 36180
+    assert counts["orthogonal"] == 26745
+    assert counts["windows"] == 649

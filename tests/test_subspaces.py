@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import make_ray
 from oracles import reference_ray_equal
 from ksets import catalog, construct, model
-from ksets.cyclo import OMEGA3, SQRT2, SQRT3, ZERO, CycNum, zeta
+from ksets.cyclo import OMEGA3, SQRT2, SQRT3, ZERO, CycNum, render_scalar, zeta
 from ksets.model import (
     KSSet,
     Projector,
@@ -190,16 +190,18 @@ def test_distinct_subspaces_with_equal_rank_and_support_are_kept():
 
 
 def test_key_match_alone_merges_nothing(monkeypatch):
-    # every projector of rank >= 2 gets one key: only projector_equal decides
+    # every projector of rank >= 2 gets one key: only projector_equal decides.
+    # The shared source is built before the patch, so its projectors, which
+    # keep their keys, never take the patched one into later tests.
+    s = _source("rank_scale(d4-18-9, 2)")
+    _, q = _rebased_pair()
     real = model._subspace_key
     monkeypatch.setattr(
         model, "_subspace_key", lambda p: real(p) if p.rank == 1 else "same")
     # fresh copies: the set's own projectors keep the keys validation gave them
-    s = _source("rank_scale(d4-18-9, 2)")
     projs = {pid: Projector(p.span) for pid, p in s.projectors.items()}
     index = SubspaceIndex()
     assert [index.add(pid, p) for pid, p in projs.items()] == list(projs)
-    _, q = _rebased_pair()
     assert index.add("again", q) == next(iter(projs))
 
 
@@ -255,15 +257,25 @@ def test_a_keyless_projector_meets_its_duplicate_on_fresh_copies(monkeypatch, ke
     assert drop.key is None
 
 
-def test_key_is_none_when_a_norm_is_not_a_unit(monkeypatch):
-    # pow(x, -1, N) raises ValueError exactly when x shares a factor with N
-    def no_inverse(base, exp, mod=None):
-        if exp == -1:
-            raise ValueError("base is not invertible for the given modulus")
-        return pow(base, exp, mod)
+def _no_inverse(base, exp, mod=None):
+    """pow without inverses: pow(x, -1, N) raises ValueError exactly when x
+    shares a factor with N."""
+    if exp == -1:
+        raise ValueError("base is not invertible for the given modulus")
+    return pow(base, exp, mod)
 
-    monkeypatch.setattr(model, "pow", no_inverse, raising=False)
-    p, q = _rebased_pair()
+
+def _repacked(p: Projector) -> Projector:
+    """p with its span rays packed anew from their entries."""
+    return Projector(tuple(Ray(r.entries) for r in p.span))
+
+
+def test_key_is_none_when_a_norm_is_not_a_unit(monkeypatch):
+    # a ray takes its inverse when it is packed, so the rays are packed
+    # anew under the patch; the source set is built before it
+    pair = _rebased_pair()
+    monkeypatch.setattr(model, "pow", _no_inverse, raising=False)
+    p, q = map(_repacked, pair)
     assert model._subspace_key(p) is None
     ray = Projector(p.span[:1])
     assert model._subspace_key(ray) is None
@@ -377,3 +389,122 @@ def test_keys_are_distinct_within_a_set(name):
     keys = [model._subspace_key(p) for p in s.projectors.values()]
     assert None not in keys
     assert len(set(keys)) == len(keys)
+
+
+# -- padded copies share their source's key --------------------------------
+
+_CATALOG = (*catalog.NAMES, *catalog.SEED_NAMES)
+_PARITY = ("d4-18-9", "d6-21-7", "d8-30-9", "d4-18-9-rot", "d6-21-7-basis")
+
+
+@lru_cache(maxsize=None)
+def _alphabet() -> tuple[CycNum, ...]:
+    """The distinct entries of the catalog's sets, zero among them."""
+    entries = {e for name in _CATALOG
+               for p in catalog.seed_set(name).projectors.values()
+               for ray in p.span for e in ray.entries}
+    return tuple(sorted(entries, key=render_scalar))
+
+
+@st.composite
+def _alphabet_rays(draw) -> Ray:
+    return Ray(draw(st.lists(st.sampled_from(_alphabet()), min_size=1, max_size=5)))
+
+
+def _keyless(build):
+    """build() with no inverse mod N, so every ray it packs has no key."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "pow", _no_inverse, raising=False)
+        return build()
+
+
+@given(_alphabet_rays(), st.integers(0, 6), st.integers(0, 6), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_padded_copies_keep_the_key_of_their_entries(ray, prepend, append, keyless):
+    # a ray alone, padded, padded twice, and as the blocks of a rank-2
+    # projector, which rank_scale builds
+    if keyless:
+        ray = _keyless(lambda: Ray(ray.entries))
+    d = ray.dimension
+    once = ray.padded(prepend, append)
+    projs = [Projector((ray,)), Projector((once,)),
+             Projector((once.padded(append, 1),)),
+             Projector((ray.padded(0, d), ray.padded(d, 0)))]
+    for p in projs:
+        if keyless or ray.is_zero():
+            assert model._subspace_key(p) is None
+        else:
+            assert model._subspace_key(p) == model._subspace_key(_repacked(p))
+
+
+@st.composite
+def _constructions(draw):
+    """(names of catalog sets, a rank_scale, ceg or pz_improved of them)."""
+    kind = draw(st.sampled_from(("rank_scale", "ceg", "pz_improved")))
+    if kind == "pz_improved":
+        names = draw(st.lists(st.sampled_from(_PARITY), min_size=2, max_size=2))
+        return names, construct.pz_improved
+    name = draw(st.sampled_from(_CATALOG))
+    d = catalog.seed_set(name).dimension
+    if kind == "rank_scale":
+        return [name], partial(construct.rank_scale, n=draw(st.integers(2, 3)))
+    return [name], partial(construct.ceg, d_target=draw(st.integers(d + 1, 2 * d - 1)))
+
+
+@given(_constructions(), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_construction_parts_keep_the_key_of_their_entries(construction, keyless):
+    # the parts copy their source's rays; ceg's pad projectors are packed
+    # anew from a unit ray, so they keep a key when the sources have none
+    names, build = construction
+    sources = [catalog.seed_set(name) for name in names]
+    if keyless:
+        sources = _keyless(lambda: [
+            KSSet(s.dimension, {pid: _repacked(p) for pid, p in s.projectors.items()},
+                  list(s.contexts)) for s in sources])
+    out = build(*sources)
+    for pid, p in out.projectors.items():
+        if keyless and not pid.startswith("pad"):
+            assert p.key is None
+        else:
+            assert p.key == model._subspace_key(_repacked(p)) is not None
+
+
+# -- validate takes each product once per packing pair ---------------------
+
+
+def _block_copy_sets() -> tuple[KSSet, KSSet]:
+    """Two dimension-4 sets of padded copies of the rays f = (1, 1),
+    g = (1, -1) and the unit ray, named <ray><first entry>: blocks A and B
+    span the same pair at shifts 0 and 2, x0 and f0 are not orthogonal in
+    contexts 2 and 3, and f0 and g1 (the same packings as f0 and g0, one
+    entry apart) not in context 4.  In the second set, C and D repeat a
+    span pair that is not orthogonal across the blocks."""
+    one = CycNum.from_rational(1)
+    f, g, x = Ray((one, one)), Ray((one, -one)), Ray((one,))
+    ray = {f"{name}{k}": r.padded(k, 4 - r.dimension - k)
+           for name, r in (("f", f), ("g", g), ("x", x)) for k in range(5 - r.dimension)}
+    rank1 = {name: Projector((ray[name],)) for name in ("x0", "x3", "f0", "g0", "g1", "f2", "g2")}
+    valid_spans = KSSet(4, {
+        "A": Projector((ray["f0"], ray["g0"])), "B": Projector((ray["f2"], ray["g2"])),
+        **rank1,
+    }, [("A", "B"), ("f0", "g0", "B"), ("x0", "f0", "B"), ("x0", "f0", "f2", "g2"),
+        ("f0", "g1", "x3")])
+    bad_spans = KSSet(4, {
+        "C": Projector((ray["f0"], ray["x0"])), "D": Projector((ray["f2"], ray["x2"])),
+    }, [("C", "D")])
+    return valid_spans, bad_spans
+
+
+def test_validate_reports_every_pair_whose_product_it_reuses():
+    valid_spans, bad_spans = _block_copy_sets()
+    assert validate(valid_spans).issues == [
+        "context 2: members x0 and f0 not orthogonal",
+        "context 3: members x0 and f0 not orthogonal",
+        "context 4: rank sum 3 != dimension 4",
+        "context 4: members f0 and g1 not orthogonal",
+    ]
+    assert validate(bad_spans).issues == [
+        "projector C: span rays 0 and 1 not orthogonal",
+        "projector D: span rays 0 and 1 not orthogonal",
+    ]
