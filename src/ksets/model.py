@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Hashable, Sequence
-from functools import cache, cached_property, reduce
+from functools import cache, reduce
 from math import lcm, prod
 from operator import mul, or_
 
@@ -119,12 +119,27 @@ class Ray:
         return "Ray(" + " ".join(render_scalar(e) for e in self.entries) + ")"
 
 
+# Projector.key before its first read.
+_UNREAD = object()
+
+
 class Projector:
     """A rank-r subspace given by r mutually orthogonal nonzero rays.
-    Projectors compare and hash by their span rays."""
+    Projectors compare and hash by their span rays.
+
+    support is the union of the span rays' supports.  key is
+    _subspace_key(self), filled in when SubspaceIndex.add first reads it
+    (_UNREAD before), so the index a construction keeps and validate's
+    share it."""
+
+    __slots__ = ("span", "support", "key")
 
     def __init__(self, span: tuple[Ray, ...]):
         self.span = span
+        self.support: frozenset[int] = (
+            span[0].support if len(span) == 1
+            else frozenset().union(*(ray.support for ray in span)))
+        self.key: Hashable | None = _UNREAD
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Projector) and self.span == other.span
@@ -139,18 +154,6 @@ class Projector:
     @property
     def dimension(self) -> int:
         return self.span[0].dimension
-
-    @cached_property
-    def support(self) -> frozenset[int]:
-        if len(self.span) == 1:
-            return self.span[0].support
-        return frozenset().union(*(ray.support for ray in self.span))
-
-    @cached_property
-    def key(self) -> Hashable | None:
-        """_subspace_key(self), computed once: the index of a construction
-        and validate's index share it."""
-        return _subspace_key(self)
 
 
 Context = tuple[str, ...]
@@ -408,6 +411,8 @@ class SubspaceIndex:
         """The id of a stored projector with the subspace of proj, else pid
         after storing proj under it."""
         key = proj.key
+        if key is _UNREAD:
+            key = proj.key = _subspace_key(proj)
         if key is None:
             candidates = list(self.table)
         else:

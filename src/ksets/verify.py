@@ -10,6 +10,15 @@ is bounded by memory, not by the interpreter's recursion limit.
 _check states the rule once, on projector ids and the orthogonality masks,
 and re-checks every witness the search returns, those of is_critical's
 removals included, also under python -O.
+
+In context mode, projectors with the same context signature share every
+constraint, so they are interchangeable (neighbourhood interchangeability,
+Freuder, AAAI-91): at most one of them is 1, and any of them can take it.
+The search keeps the first of each class, and a context-mode witness puts
+its 1s on class representatives.  Every full-mode coloring is a
+context-mode coloring, so is_ks refutes in context mode first, without the
+orthogonality graph, and builds the graph only for a set whose contexts
+alone can be colored.
 """
 
 from __future__ import annotations
@@ -80,7 +89,8 @@ class _Problem(namedtuple(
         "_Problem", "ids ctx_masks mode sigs orth allowed")):
     """A set compiled for the search, and the start state of every search
     on it: orth, the at-most-one masks of all contexts (bitmasks in ids
-    order), and allowed, the projectors that occur in some context.
+    order), and allowed, the projectors the search may set to 1 (see
+    _compile).
     ctx_masks holds each context's members (see KSSet.members) and sigs
     each projector's context signature (see KSSet.signatures); ids are
     the projector ids in order."""
@@ -124,15 +134,29 @@ class _Problem(namedtuple(
 
 
 def _compile(s: KSSet, mode: Mode) -> _Problem:
+    """Validate s and compile it for the search in the given mode.
+
+    In full mode every projector that some context holds is allowed, and
+    orth is the orthogonality graph.  In context mode a projector excludes
+    the members of its contexts, and only the first projector of each
+    nonzero signature class is allowed; the rest of the class starts at 0.
+    Removing contexts keeps a class together, so the searches of
+    is_critical and reduce_critical, which start from this allowed mask,
+    keep one member per class too."""
     ensure_valid(s)
     ids = list(s.projectors)
     ctx_masks = s.members()
     sigs = list(s.signatures().values())
-    allowed = union_of(ctx_masks, (1 << len(ctx_masks)) - 1)
     if mode is Mode.FULL:
+        allowed = union_of(ctx_masks, (1 << len(ctx_masks)) - 1)
         # Called through this module's binding, which tracers wrap.
         orth: Sequence[int] = orthogonality_graph(s)
     else:
+        reps = {}
+        for v, sig in enumerate(sigs):
+            reps.setdefault(sig, 1 << v)
+        reps.pop(0, None)
+        allowed = sum(reps.values())
         # Only projectors that share a context exclude each other.
         orth = [union_of(ctx_masks, sig) & ~(1 << v)
                 for v, sig in enumerate(sigs)]
@@ -287,8 +311,14 @@ def find_assignment(
 
 
 def is_ks(s: KSSet) -> bool:
-    """True when no valid assignment exists under the full orthogonality rules."""
-    return find_assignment(s, Mode.FULL) is None
+    """True when no valid assignment exists under the full orthogonality rules.
+
+    Every full-mode coloring is a context-mode coloring, so a set whose
+    contexts alone admit none is KS, and proving it needs no orthogonality
+    graph.  Only a set that context mode colors takes the full-mode search,
+    and with it the graph."""
+    return (find_assignment(s, Mode.CONTEXT_ONLY) is None
+            or find_assignment(s, Mode.FULL) is None)
 
 
 def is_parity(s: KSSet) -> bool:
@@ -319,21 +349,24 @@ class CriticalityReport(namedtuple(
 def is_critical(s: KSSet, mode: Mode = Mode.FULL) -> CriticalityReport:
     """Remove each context in turn, restrict to the projectors still used,
     and search for a witness; overall-critical iff every removal has one.
-    Each witness is re-checked by _check over the remaining contexts."""
+    A witness values the projectors that the remaining contexts use, and
+    is re-checked by _check over those contexts.  In context mode its 1s
+    lie on class representatives (see _compile)."""
     stats = SearchStats()
     problem = _compile_uncolorable(s, mode, stats, "criticality undefined")
     every = (1 << len(problem.ctx_masks)) - 1
     removals: list[Assignment | None] = []
     for removed in range(len(problem.ctx_masks)):
-        mask, _, allowed = problem.solve_without(
+        mask, _, _ = problem.solve_without(
             1 << removed, every, problem.orth, problem.allowed, stats)
         if mask is None:
             removals.append(None)
             continue
+        used = union_of(problem.ctx_masks, every & ~(1 << removed))
         values = {
             problem.ids[i]: 1 if mask >> i & 1 else 0
             for i in range(len(problem.ids))
-            if allowed >> i & 1
+            if used >> i & 1
         }
         asg = Assignment(values)
         if not _check(s, asg, mode, s.contexts[:removed] + s.contexts[removed + 1:]):

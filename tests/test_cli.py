@@ -5,12 +5,14 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from ksets.cli import main
-from ksets.setfile import parse
+from ksets.construct import build_chain, table_recipe
+from ksets.setfile import parse, serialize
 
 
 def run(capsys, *argv):
@@ -48,6 +50,29 @@ def test_verify_context_mode(capsys):
     assert code == 0
     assert "mode: context" in out.splitlines()
     assert "critical: yes (36/36 removals colorable)" in out.splitlines()
+
+
+@pytest.mark.parametrize("d", [12, 24])
+def test_verify_context_mode_of_a_3n_rank1_build_is_quick(tmp_path, d):
+    # 4 and 8 copies of d3-49-36 split into rays: each copy of a ray has the
+    # signature of the others, and a search over every copy is exponential
+    # in their number (past 60 s at d = 12).  One per class keeps it small.
+    chain = next(r.rank1_chain for r in table_recipe(d) if r.row == "3n")
+    path = tmp_path / "3n.ks"
+    path.write_text(serialize(build_chain(chain)))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ksets", "verify", str(path), "--mode", "context"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    took = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert "KS: yes" in proc.stdout.splitlines()
+    assert "critical: yes (36/36 removals colorable)" in proc.stdout.splitlines()
+    assert took < 1.0
 
 
 def test_verify_no_critical_flag(capsys):

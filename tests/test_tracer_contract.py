@@ -44,16 +44,21 @@ def _fresh(name: str) -> model.KSSet:
 
 
 def test_is_ks_reaches_the_graph_through_the_module_binding(monkeypatch):
+    # The full-mode core of d11-40-12 is colorable in context mode, so
+    # is_ks proves it KS with the full-mode search, which reads the graph.
+    core = serialize(verify.reduce_critical(catalog.seed_set("d11-40-12")))
     calls = _count_calls(monkeypatch, model, "orthogonality_graph")
     assert verify.orthogonality_graph is model.orthogonality_graph
-    s = _fresh("d4-18-9")
+    assert verify.is_ks(_fresh("d4-18-9"))  # refuted in context mode
+    assert calls[0] == 0
+    s = parse(core)
     assert verify.is_ks(s)
     assert calls[0] == 1
     # the graph is cached on the set, and is still read through the binding
     assert verify.is_ks(s)
     assert calls[0] == 2
-    s = _fresh("d4-18-9")
-    s.contexts.pop()  # the set is critical, so this leaves it colorable
+    s = parse(core)
+    s.contexts.pop()  # the core is critical, so this leaves it colorable
     # compiling the search and re-checking the witness each read the graph
     assert verify.find_assignment(s) is not None
     assert calls[0] == 4

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -17,8 +18,9 @@ from hypothesis import strategies as st
 
 from conftest import basis_set, census_set, make_ray
 from ksets import catalog, verify
+from ksets.construct import build_chain, merge_rank, table_recipe
 from ksets.errors import NotKSError
-from ksets.model import KSSet, Projector
+from ksets.model import KSSet, Projector, symbol
 from ksets.verify import (
     Assignment,
     Mode,
@@ -30,6 +32,7 @@ from ksets.verify import (
     is_critical,
     is_ks,
     is_parity,
+    reduce_critical,
 )
 from oracles import brute_force_witness, naive_cnf_satisfiable, reference_orth
 
@@ -323,10 +326,13 @@ def test_drop_context_matches_rebuilt_masks(name, mode):
 
 def test_criticality_removals_are_pinned():
     # Every removal witness of every catalog entry and seed, in both modes.
-    # The digest was taken from the solver that rescanned every context per
-    # node and rebuilt the context-mode masks per removal; an equal digest
-    # shows that the search still branches the same way.
-    lines = []
+    # The first digest was taken from the solver that rescanned every
+    # context per node and rebuilt the context-mode masks per removal, and
+    # kept every member of a signature class; an equal digest shows that
+    # the search still branches the same way.  Only d8-34-9 and d10-39-9
+    # have two projectors of one signature, so only their context-mode
+    # lines changed when the search kept one per class: the second digest.
+    kept, quotient = [], []
     for name in catalog.NAMES + catalog.SEED_NAMES:
         s = catalog.seed_set(name)
         for mode in Mode:
@@ -338,10 +344,12 @@ def test_criticality_removals_are_pinned():
                 body = ";".join(
                     "-" if w is None else w.lines().replace("\n", ",")
                     for w in report.removals)
-            lines.append(f"{name} {mode.value} {body}")
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == (
-        "551d6dd6fd612734e79bb6b04ac36c290bb38fa921f645dbe1fe2219cb8dd477")
+            changed = mode is Mode.CONTEXT_ONLY and name in ("d8-34-9", "d10-39-9")
+            (quotient if changed else kept).append(f"{name} {mode.value} {body}")
+    assert hashlib.sha256("\n".join(kept).encode()).hexdigest() == (
+        "508830daea1df38f17e033b051ac1b328601a5d12bf401deda5c43c283276932")
+    assert hashlib.sha256("\n".join(quotient).encode()).hexdigest() == (
+        "61942bf43d7ed54fe8e88f73acd2405aaf56c0f55d84d9f00218ea97985c18ac")
 
 
 # (nodes, propagations, conflicts, max depth), counted with the solver
@@ -384,20 +392,55 @@ def _frame_depth() -> int:
     return depth
 
 
-@pytest.mark.parametrize("mode", list(Mode))
-def test_search_depth_is_not_bounded_by_the_interpreter(mode):
-    # n independent d = 2 bases {(1, a), (-a, 1)}: no ray is orthogonal to
-    # a ray of another basis, so the search decides one basis per level
-    # and reaches depth n without a conflict.  Under a recursion limit only
-    # about 100 frames above this one, a search that recursed once per
-    # decision would raise RecursionError.
-    n = 300
+def _independent_bases(n: int) -> KSSet:
+    """n independent d = 2 bases {(1, a), (-a, 1)}: no ray is orthogonal to
+    a ray of another basis.  Both members of a basis have one signature."""
     projs, contexts = {}, []
     for a in range(n):
         projs[f"u{a}"] = Projector((make_ray(1, a),))
         projs[f"w{a}"] = Projector((make_ray(-a, 1),))
         contexts.append((f"u{a}", f"w{a}"))
-    s = KSSet(2, projs, contexts)
+    return KSSet(2, projs, contexts)
+
+
+def _orthogonal_cycle(n: int) -> KSSet:
+    """n d = 3 contexts (x_i, y_i, x_{i+1}) round a cycle of rays x_i, each
+    orthogonal to the next, with y_i orthogonal to both: every ray has its
+    own signature.  The x_i are (1, k, k^2), the cross products
+    (k(k+1), -(2k+1), 1) of consecutive ones, and (0, m, -1), orthogonal
+    to the last (1, m, m^2) and to the first, (1, 0, 0).  n is even."""
+    m = (n - 2) // 2
+    xs = []
+    for k in range(m + 1):
+        xs.append((1, k, k * k))
+        if k < m:
+            xs.append((k * (k + 1), -(2 * k + 1), 1))
+    xs.append((0, m, -1))
+    projs, contexts = {}, []
+    for i, (u, v) in enumerate(zip(xs, xs[1:] + xs[:1])):
+        projs[f"x{i}"] = Projector((make_ray(*u),))
+        projs[f"y{i}"] = Projector((make_ray(
+            u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0]),))
+        contexts.append((f"x{i}", f"y{i}", f"x{(i + 1) % n}"))
+    return KSSet(3, projs, contexts)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_search_depth_is_not_bounded_by_the_interpreter(mode):
+    # Under a recursion limit only about 100 frames above this one, a
+    # search that recursed once per decision would raise RecursionError.
+    # Full mode decides one independent basis per level and reaches depth
+    # n without a conflict.  Context mode keeps one member per signature,
+    # which leaves each basis a unit, so it takes the cycle: x0 goes to 1,
+    # then one y_i per level down the cycle, and the last context left is
+    # a unit, at depth n - 2.
+    n = 300
+    if mode is Mode.FULL:
+        s, counts = _independent_bases(n), (n + 1, 0, 0, n)
+    else:
+        s, counts = _orthogonal_cycle(n), (n - 1, 1, 0, n - 2)
+        assert len(set(s.signatures().values())) == 2 * n
     stats = SearchStats()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_frame_depth() + 100)
@@ -406,7 +449,11 @@ def test_search_depth_is_not_bounded_by_the_interpreter(mode):
     finally:
         sys.setrecursionlimit(limit)
     assert asg is not None and _check(s, asg, mode)
-    assert _counts(stats) == (n + 1, 0, 0, n)
+    assert _counts(stats) == counts
+    if mode is Mode.CONTEXT_ONLY:
+        stats = SearchStats()
+        assert find_assignment(_independent_bases(n), mode, stats) is not None
+        assert _counts(stats) == (1, n, 0, 0)
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -427,6 +474,92 @@ def test_projector_in_no_context_stays_zero(s18, mode):
             assert is_critical(extended, mode) == is_critical(s, mode)
         else:
             assert got.values == {**witness.values, "19": 0}
+
+
+# -- context mode: one projector per signature class -------------------
+
+
+@lru_cache(maxsize=None)
+def _table_builds() -> tuple[KSSet, ...]:
+    """Every table_recipe chain for d = 3..12, built."""
+    return tuple(
+        build_chain(chain)
+        for d in range(3, 13)
+        for recipe in table_recipe(d)
+        for chain in (recipe.general_chain, recipe.rank1_chain)
+        if chain)
+
+
+def _named_sets() -> list[KSSet]:
+    return [catalog.seed_set(name)
+            for name in catalog.NAMES + catalog.SEED_NAMES]
+
+
+def _context_colorable(s: KSSet) -> bool:
+    return find_assignment(s, Mode.CONTEXT_ONLY) is not None
+
+
+def test_context_mode_colors_a_set_exactly_when_its_merge_rank_does():
+    # merge_rank replaces each signature class by one projector, the sum of
+    # its members; a class's members share every context, so a context
+    # coloring of either set gives one of the other
+    for s in _named_sets() + list(_table_builds()):
+        assert _context_colorable(s) == _context_colorable(merge_rank(s))
+
+
+@st.composite
+def _context_subsets(draw) -> KSSet:
+    """A random set of the contexts of d8-34-9, d10-39-9 (both with
+    signature classes of several members) or the census master set, over
+    the projectors they use."""
+    name = draw(st.sampled_from(("d8-34-9", "d10-39-9", "census")))
+    s = census_set() if name == "census" else catalog.seed_set(name)
+    picked = draw(st.sets(st.integers(0, s.n_contexts - 1), min_size=1))
+    contexts = [s.contexts[ci] for ci in sorted(picked)]
+    used = {pid for ctx in contexts for pid in ctx}
+    return KSSet(s.dimension, {pid: p for pid, p in s.projectors.items()
+                               if pid in used}, contexts)
+
+
+@given(_context_subsets())
+@settings(max_examples=60, deadline=None)
+def test_context_mode_agrees_with_merge_rank_on_context_subsets(s):
+    assert _context_colorable(s) == _context_colorable(merge_rank(s))
+    assert is_ks(s) == (find_assignment(s, Mode.FULL) is None)
+
+
+def test_is_ks_is_the_full_mode_search():
+    # is_ks refutes in context mode first, as it does every named set and
+    # table build.  The full-mode cores of three sets that are not critical
+    # in full mode are colorable in context mode, so they take the
+    # full-mode search, as does a single basis.
+    cores = [reduce_critical(catalog.seed_set(name))
+             for name in ("d3-49-36", "d3-57-40", "d11-40-12")]
+    assert [symbol(c).compact for c in cores] == ["33-20", "33-13", "40-10"]
+    assert all(_context_colorable(c) for c in cores)
+    for s in _named_sets() + list(_table_builds()) + cores:
+        assert is_ks(s) == (find_assignment(s, Mode.FULL) is None)
+    assert not is_ks(basis_set(4))
+
+
+@pytest.mark.parametrize("name", ["d8-34-9", "d10-39-9"])
+def test_context_witnesses_put_their_1s_on_class_representatives(name):
+    # A removal witness values the projectors the other contexts use, and
+    # puts each 1 on the first projector of its signature class.
+    s = catalog.seed_set(name)
+    sigs = s.signatures()
+    first: dict[int, str] = {}
+    for pid, sig in sigs.items():
+        first.setdefault(sig, pid)
+    assert len(first) < len(sigs)  # some class has several members
+    report = is_critical(s, Mode.CONTEXT_ONLY)
+    assert report.overall
+    for removed, witness in enumerate(report.removals):
+        rest = s.contexts[:removed] + s.contexts[removed + 1:]
+        assert witness.values.keys() == {pid for ctx in rest for pid in ctx}
+        assert _check(s, witness, Mode.CONTEXT_ONLY, rest)
+        assert all(first[sigs[pid]] == pid
+                   for pid, v in witness.values.items() if v)
 
 
 def test_cnf_shape_18_9(s18):
