@@ -7,15 +7,9 @@ coordinate-swap doubling over the set's own axis projectors, splitting and
 merging ranks, and the dimension-table recipes that chain them.  Each is
 fixed by its input sets and target dimension, and each returns through one
 assembly step, _assemble, which identifies equal subspaces and drops
-repeated members and member sets.  Copies of the operand carry its
-orthogonality masks into the output's graph state: rank_scale keeps its
-input's graph, split_ranks of an all-rank-1 set keeps that set's, split_ranks
-of a set laid out as rank_scale(S, n), S all rank 1, spreads its graph over
-the n blocks, and ceg takes the pairs inside each of its two copies from its
-input's graph, leaving its own graph the pairs across the copies and with
-its pads.  The other constructions' outputs compute their graphs.  The
-greedy reduction to a critical core, reduce_critical, runs beside the
-search in verify and is re-exported here.
+repeated members and member sets.  The greedy reduction to a critical
+core, reduce_critical, runs beside the search in verify and is re-exported
+here.
 
 Each table row writes its constructions down once, as a chain string such
 as ``split_ranks(rank_scale(d6-21-7, 2))``; build_chain runs any such string
@@ -48,7 +42,6 @@ from .model import (
     ensure_valid,
     inner,
     orthogonal,
-    orthogonality_graph,
 )
 from .setfile import _fresh, _ray_ids
 # find_assignment and reduce_critical stay bound here: the benchmark's tracer
@@ -67,15 +60,12 @@ def _assemble(
     contexts: list[Context],
     name: str | None,
     deferred: bool,
-    graph: tuple[tuple[int, ...], tuple[int, ...] | None] | None = None,
 ) -> KSSet:
     """The set of the labelled parts and the contexts over their labels,
     validated unless it is deferred, which it is when the operands it was
     built from are (KSSet._deferred).  Equal subspaces are identified under
     the first label, each context keeps a member once, and a context whose
-    member set an earlier one has is dropped.  graph, a graph state of the
-    parts in their order (KSSet._orth) that the caller carries over from
-    its operand, is the set's if no subspace was identified."""
+    member set an earlier one has is dropped."""
     index = SubspaceIndex()
     first = {label: index.add(label, proj) for label, proj in parts}
     unique: dict[frozenset[str], Context] = {}
@@ -83,7 +73,6 @@ def _assemble(
         members = tuple(dict.fromkeys(map(first.__getitem__, ctx)))
         unique.setdefault(frozenset(members), members)
     out = KSSet(dimension, index.table, list(unique.values()), name=name,
-                _orth=graph if len(index.table) == len(parts) else None,
                 _deferred=deferred)
     ensure_valid(out)
     return out
@@ -132,6 +121,9 @@ def default_pairing(b_large: int, b_small: int) -> tuple[int, ...]:
 
 
 def _check_pairing(pairing: tuple[int, ...], b_large: int, b_small: int) -> None:
+    """Raise InvalidPairingError unless pairing is a valid pairing.  Its
+    messages number contexts from 1, as `ksets construct pz --pairing`
+    does, so small context j is named j + 1."""
     if len(pairing) != b_large:
         raise InvalidPairingError(
             f"pairing covers {len(pairing)} contexts, expected {b_large}"
@@ -142,7 +134,7 @@ def _check_pairing(pairing: tuple[int, ...], b_large: int, b_small: int) -> None
         count = pairing.count(j)
         if count % 2 == 0:
             raise InvalidPairingError(
-                f"small context {j} used {count} times; every usage count "
+                f"small context {j + 1} used {count} times; every usage count "
                 "must be odd"
             )
 
@@ -201,47 +193,11 @@ def merge_rank(s: KSSet) -> KSSet:
     return _assemble(s.dimension, parts, contexts, s.name, s._deferred)
 
 
-def _split_graph(s: KSSet) -> tuple[tuple[int, ...], None] | None:
-    """The graph state of split_ranks(s) when s's rays have the layout of
-    rank_scale(S, n), S all rank 1, else None: every projector has rank n,
-    its span is its first ray repeated entry for entry at offsets k*b, with
-    b = d // n, and the first ray's window lies in block 0.  For n = 1 the
-    split is s's projectors in their order, with s's masks.  Otherwise ray k
-    of projector i lies in block k and is ray i*n + k of the output; rays in
-    different blocks have disjoint supports, and two in one block are
-    orthogonal exactly when their projectors are (mask i of s)."""
-    projs = s.projectors.values()
-    n = min((p.rank for p in projs), default=1)
-    if any(p.rank != n for p in projs):
-        return None
-    if n == 1:
-        return orthogonality_graph(s), None
-    b = s.dimension // n
-    for p in projs:
-        first = p.span[0]
-        lo, width = first._lo, len(first._vals)
-        window = first.entries[lo:lo + width]
-        if lo + width > b:
-            return None
-        for at, r in zip(range(lo, s.dimension, b), p.span):
-            if r._lo != at or len(r._vals) != width or r.entries[at:at + width] != window:
-                return None
-    graph = orthogonality_graph(s)
-    spread = [sum(1 << j * n for j in range(len(graph)) if mask >> j & 1)
-              for mask in graph]
-    block = sum(1 << j * n for j in range(len(graph)))  # the rays of block 0
-    every = (1 << n * len(graph)) - 1
-    return tuple((every ^ block << k) | mask << k
-                 for mask in spread for k in range(n)), None
-
-
 def split_ranks(s: KSSet) -> KSSet:
     """Replace every higher-rank projector by its recorded span rays as
     individual rank-1 projectors, under the ids a set file gives those rays
     (p.1 ... p.r for a projector p).  Equal subspaces are identified, and a
-    context whose member set repeats an earlier one is dropped.  The split
-    of an all-rank-1 set, and of a set laid out as rank_scale(S, n) for
-    such an S, carries its operand's graph over (_split_graph)."""
+    context whose member set repeats an earlier one is dropped."""
     ensure_valid(s)
     ray_ids = _ray_ids(s)
     parts = [
@@ -251,8 +207,7 @@ def split_ranks(s: KSSet) -> KSSet:
     ]
     contexts = [tuple(rid for pid in ctx for rid in ray_ids[pid])
                 for ctx in s.contexts]
-    return _assemble(s.dimension, parts, contexts, s.name, s._deferred,
-                     _split_graph(s))
+    return _assemble(s.dimension, parts, contexts, s.name, s._deferred)
 
 
 # The most ray entries rank_scale (n^2 d times the rank sum) and ceg (d'
@@ -264,8 +219,7 @@ def rank_scale(s: KSSet, n: int) -> KSSet:
     """Put n block copies of the whole set into orthogonal subspaces; each
     projector becomes the rank-n*r sum of its shifted copies while the
     context structure is unchanged.  n = 1 returns s, a larger n names
-    the output name(scale<n>).  P (x) I_n is orthogonal to Q (x) I_n
-    exactly when P is orthogonal to Q, so the output keeps s's graph."""
+    the output name(scale<n>)."""
     ensure_valid(s)
     if n < 1:
         raise BadDimensionError("scale factor must be a positive integer")
@@ -283,7 +237,7 @@ def rank_scale(s: KSSet, n: int) -> KSSet:
         for pid, proj in s.projectors.items()
     ]
     return _assemble(n * d, parts, s.contexts, f"{s.name or 'S'}(scale{n})",
-                     s._deferred, (orthogonality_graph(s), None))
+                     s._deferred)
 
 
 def ceg(s: KSSet, d_target: int) -> KSSet:
@@ -294,10 +248,7 @@ def ceg(s: KSSet, d_target: int) -> KSSet:
     critical.  The count is exactly 2R+3 when no padded projector of one copy
     spans the same subspace as a padded projector of the other copy or as a
     pad projector; equal subspaces are identified, so each such coincidence
-    lowers the count by one.  Each copy is s shifted by 0 or by d' - d, so
-    two projectors of one copy are orthogonal exactly when their sources
-    are: the output takes those pairs from s's graph, and its own graph
-    checks only the pairs across the copies and with the pads."""
+    lowers the count by one."""
     ensure_valid(s)
     d = s.dimension
     if not d < d_target < 2 * d:
@@ -323,13 +274,8 @@ def ceg(s: KSSet, d_target: int) -> KSSet:
     contexts = [("padL", "padC", "padR")]
     contexts += [tuple(f"a{pid}" for pid in ctx) + ("padR",) for ctx in s.contexts]
     contexts += [tuple(f"b{pid}" for pid in ctx) + ("padL",) for ctx in s.contexts]
-    graph = orthogonality_graph(s)
-    r = len(graph)
-    first = (1 << r) - 1  # the a-copies, parts 0 .. r-1
-    orth = (*graph, *(m << r for m in graph), 0, 0, 0)
-    known = (first,) * r + (first << r,) * r + (0, 0, 0)
     return _assemble(d_target, parts, contexts, f"{s.name or 'S'}(ceg{d_target})",
-                     s._deferred, (orth, known))
+                     s._deferred)
 
 
 def axis_basis_ids(s: KSSet, delta: int) -> list[str]:
@@ -509,11 +455,8 @@ def build_chain(chain: str) -> KSSet:
     if not isinstance(out, KSSet):
         raise ChainSyntaxError(f"chain {chain!r} gives no set")
     for seed, copy in seeds:
-        if seed._orth is None:  # a graph a step computed for the copy
-            seed._orth = copy._orth
         if out is copy:
             return seed
-    # The copy keeps the graph state.
     out = out.copy(name=" ".join(chain.split()), _deferred=False)
     ensure_valid(out)
     return out

@@ -134,9 +134,6 @@ class CycNum:
     def is_rational(self) -> bool:
         return self.israt
 
-    def is_real(self) -> bool:
-        return self.conj() == self
-
     def as_fraction(self) -> Fraction:
         if not self.israt:
             raise ValueError("not a rational element")

@@ -21,17 +21,14 @@ packing computes its part of every key once, and a key costs one product
 per span ray.  Rays compare as rank-1 projectors, through projector_equal.
 validate takes each ray product once per pair of packings and shift, so
 the block copies of a construction repeat none.
-The full orthogonality relation of a set is computed once, as one integer
-bitmask per projector; it takes pairs with disjoint supports and pairs that
-validation proved orthogonal in a shared context without a product, and
-orthogonality_graph returns the cached tuple of masks.  A construction may
-carry masks over from its operand into KSSet._orth, the one graph state of
-a set: the block copies of construct.rank_scale and split_ranks carry every
-pair, so their graphs take no product, and construct.ceg the pairs inside
-each of its copies, so its graph checks only the rest.  Which projectors
-share a context is read from KSSet.members() with union_of.  Every set is
-validated before its graph or its symbol is read, except the sets a chain
-builds on the way (KSSet._deferred), whose check is the chain output's.
+The full orthogonality relation of a set is computed on its first read,
+as one integer bitmask per projector, and cached in KSSet._orth; it takes
+pairs with disjoint supports and pairs that validation proved orthogonal
+in a shared context without a product, and orthogonality_graph returns the
+cached tuple of masks.  Which projectors share a context is read from
+KSSet.members() with union_of.  Every set is validated before its graph or
+its symbol is read, except the sets a chain builds on the way
+(KSSet._deferred), whose check is the chain output's.
 """
 
 from __future__ import annotations
@@ -162,11 +159,8 @@ Context = tuple[str, ...]
 class KSSet:
     """A dimension, a table of identified projectors and a context list.
 
-    _orth is the set's graph state, (masks, known), or None before any:
-    bit j of known[i] is set when masks[i] decides the pair i, j, and known
-    is None once the masks decide every pair.  orthogonality_graph fills
-    the open pairs and stores (masks, None); a construction may carry masks
-    over from its operand's (construct._assemble).
+    _orth is the set's orthogonality masks, or None until
+    orthogonality_graph first computes them.
 
     _deferred marks a seed or an intermediate set inside one
     construct.build_chain run: ensure_valid passes it unchecked, and the
@@ -180,7 +174,6 @@ class KSSet:
         projectors: dict[str, Projector],
         contexts: list[Context],
         name: str | None = None,
-        _orth: tuple[tuple[int, ...], tuple[int, ...] | None] | None = None,
         _deferred: bool = False,
     ):
         self.dimension = dimension
@@ -188,7 +181,7 @@ class KSSet:
         self.contexts = contexts
         self.name = name
         self._validated = False
-        self._orth = _orth
+        self._orth: tuple[int, ...] | None = None
         self._deferred = _deferred
 
     def copy(self, **changes) -> KSSet:
@@ -607,30 +600,26 @@ def orthogonality_graph(s: KSSet) -> tuple[int, ...]:
     """The full orthogonality relation, including pairs that never share a
     context, as one bitmask per projector in s.projectors order: bit j of
     entry i is set when projectors i and j are orthogonal.  It is computed
-    once per set and cached in s._orth, unless a construction carried it
-    over from its operand; every call returns the same tuple.
+    once per set and cached in s._orth; every call returns the same tuple.
 
-    Three kinds of pair are orthogonal or decided without a product: pairs
-    with disjoint supports, found by _overlaps; pairs that share a context,
+    Two kinds of pair are orthogonal without a product: pairs with
+    disjoint supports, found by _overlaps, and pairs that share a context,
     union_of(s.members(), sig) for a projector of signature sig, which
-    validation has just proved orthogonal (for a deferred set, the
-    validation of its chain's output, which keeps those pairs in its
-    contexts); and pairs whose answer a construction carried over, the
-    known pairs of s._orth.  Only the remaining pairs are checked with
-    projector_orthogonal.  No projector is its own neighbour."""
+    validation has just proved orthogonal.  Only the remaining pairs are
+    checked with projector_orthogonal.  No projector is its own
+    neighbour."""
     ensure_valid(s)
-    if s._orth is None or s._orth[1] is not None:
+    if s._orth is None:
         projs = list(s.projectors.values())
         members = s.members()
         every = (1 << len(projs)) - 1
-        masks, known = s._orth or ((0,) * len(projs),) * 2
-        masks = list(masks)
-        for i, (p, sig, overlap, decided) in enumerate(
-            zip(projs, s.signatures().values(), _overlaps(s), known)
+        masks = [0] * len(projs)
+        for i, (p, sig, overlap) in enumerate(
+            zip(projs, s.signatures().values(), _overlaps(s))
         ):
             shared = union_of(members, sig)
             masks[i] |= (every & ~overlap | shared) & ~(1 << i)
-            later = (overlap & ~shared & ~decided) >> (i + 1)
+            later = (overlap & ~shared) >> (i + 1)
             while later:
                 bit = later & -later
                 later ^= bit
@@ -638,5 +627,5 @@ def orthogonality_graph(s: KSSet) -> tuple[int, ...]:
                 if projector_orthogonal(p, projs[j]):
                     masks[i] |= 1 << j
                     masks[j] |= 1 << i
-        s._orth = (tuple(masks), None)
-    return s._orth[0]
+        s._orth = tuple(masks)
+    return s._orth

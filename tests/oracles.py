@@ -7,7 +7,8 @@ The field automorphisms get the same treatment: a coefficient-by-coefficient
 substitution of powers of z read from the reduction table, and so does ray
 equality: a comparison of canonical forms, each ray scaled to a leading 1.
 The orthogonality graph is recomputed from one exact inner product per pair
-of span rays, with no shortcut.  The exhaustive pairing search certifies
+of span rays, with no shortcut, and the graph of split block copies is
+spelled out bit by bit from their operand's.  The exhaustive pairing search certifies
 that the index-aligned pairing every table row and catalog chain uses,
 default_pairing(9, 7), already gives the most merges.  The greedy
 reduction is replayed as the plain one-scan, one new set and one
@@ -68,6 +69,24 @@ def reference_graph(s: KSSet) -> tuple[int, ...]:
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return tuple(masks)
+
+
+def reference_block_graph(graph: Sequence[int], n: int) -> tuple[int, ...]:
+    """The masks graph of a set S spread over n blocks, the graph of
+    split_ranks(rank_scale(S, n)) for an all-rank-1 S: ray k of projector i
+    of S becomes ray i*n + k.  Two rays in one block are orthogonal exactly
+    when their projectors are in graph, and two rays in different blocks
+    always are."""
+    size = n * len(graph)
+    out = []
+    for i, mask in enumerate(graph):
+        for k in range(n):
+            bits = 0
+            for j in range(size):
+                if j != i * n + k and (j % n != k or mask >> j // n & 1):
+                    bits |= 1 << j
+            out.append(bits)
+    return tuple(out)
 
 
 def reference_orth(s: KSSet, mode: Mode, active: Iterable[int]) -> list[int]:

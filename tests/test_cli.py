@@ -274,6 +274,22 @@ def test_construct_pz_rejects_bad_pairing(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("pairing, context, count", [
+    ("1,1,1,1,1,1,1,1,1", 2, 0),
+    ("1,2,3,4,5,6,6,7,7", 6, 2),
+    ("2,2,3,4,5,6,7,1,1", 1, 2),
+])
+def test_construct_pz_names_contexts_as_pairing_numbers_them(
+        capsys, pairing, context, count):
+    code, out, err = run(
+        capsys, "construct", "pz", "d4-18-9", "d6-21-7", "--pairing", pairing)
+    assert code == 3
+    assert out == ""
+    assert err == (
+        f"error: small context {context} used {count} times; every usage "
+        "count must be odd\n")
+
+
 @pytest.mark.parametrize("pairing", ["", "1,x"])
 def test_construct_pz_rejects_malformed_pairing(capsys, pairing):
     code, out, err = run(

@@ -325,9 +325,8 @@ def test_rank_scale_ks_and_context_bijection(s18, n):
 @pytest.mark.parametrize("name", catalog.NAMES)
 def test_rank_scale_keeps_the_orthogonality_graph(name, n):
     # P (x) I_n is orthogonal to Q (x) I_n exactly when P is orthogonal to Q,
-    # so the products of the padded block copies give the seed's graph.
-    # rank_scale carries the seed's masks over; a fresh copy, with no
-    # cached graph, computes them from the products.
+    # so the products of the padded block copies give the seed's graph,
+    # for the built set and for a fresh copy parsed from its set file.
     s = catalog.seed_set(name)
     scaled = rank_scale(s, n)
     fresh = setfile.parse(setfile.serialize(scaled))
@@ -931,16 +930,15 @@ def test_build_chain_leaves_its_seeds_and_output_checked():
 
 
 def test_table_build_pass_work_counts(monkeypatch):
-    # One pass of the 112 table chains with is_ks, once the seeds and their
-    # graphs are loaded: one validate per chain that does not give a seed,
-    # the products the carried masks leave to validate, taken once per
-    # packing pair, and one key window per new packing, each Ray.__init__.
-    # Every chain output is refuted in context mode, so is_ks builds no
-    # graph, and every product is validate's.  The counts are the same on
-    # every host.
+    # One pass of the 112 table chains with is_ks, once the seeds are
+    # loaded: one validate per chain that does not give a seed, its
+    # products taken once per packing pair, and one key window per new
+    # packing, each Ray.__init__.  Every chain output is refuted in context
+    # mode, so is_ks builds no graph, and every product is validate's.  The
+    # counts are the same on every host.
     chains = _table_chains()
     for name in (*catalog.NAMES, *catalog.SEED_NAMES):
-        orthogonality_graph(catalog.seed_set(name))
+        catalog.seed_set(name)
     counts = dict.fromkeys(("validate", "projector_orthogonal", "orthogonal"), 0)
     for name in counts:
         def counting(*args, name=name, original=getattr(model, name)):
@@ -964,7 +962,7 @@ def test_table_build_pass_work_counts(monkeypatch):
     for chain in chains:
         assert is_ks(build_chain(chain))
     assert len(chains) == 112
-    assert counts["validate"] <= 103
-    assert counts["projector_orthogonal"] <= 36180
+    assert counts["validate"] == 103
+    assert counts["projector_orthogonal"] == 19401
     assert counts["orthogonal"] == counts["validate's products"] == 9744
     assert counts["windows"] == 649

@@ -34,7 +34,7 @@ from ksets.model import (
 )
 from ksets.setfile import parse, serialize
 from ksets.verify import is_ks
-from oracles import reference_graph
+from oracles import reference_block_graph, reference_graph
 
 
 def test_inner_standard_basis():
@@ -320,7 +320,7 @@ _RANK1_NAMES = [
 
 # The "2n+5" and "2n+3" rows at odd d, beyond _GRAPH_CASES too, and ceg of
 # sets that no row doubles.  ceg of the unrotated d4-18-9 identifies
-# subspaces at d = 5, 7 and 9, so those outputs carry no masks.
+# subspaces at d = 5, 7 and 9 (_CEG_IDENTIFYING).
 _CEG_CASES = [
     recipe.general_chain
     for d in (5, 7, 9, 13, 15, 17)
@@ -334,91 +334,72 @@ _CEG_CASES = [
     f"split_ranks(rank_scale({name}, {n}))"
     for name in _RANK1_NAMES for n in (2, 3)
 ] + _CEG_CASES)
-def test_carried_graph_matches_the_pairwise_reference(chain):
-    # the built set itself: rank_scale, split_ranks and ceg carry their
-    # operand's masks over instead of computing them
+def test_built_graph_matches_the_pairwise_reference(chain):
+    # the built set itself, with the caches a chain leaves on it
     s = build_chain(chain)
     assert orthogonality_graph(s) == reference_graph(s)
 
 
-def test_split_block_copies_take_no_product(monkeypatch):
-    seed = catalog.seed_set("d3-49-36")
-    orthogonality_graph(seed)
-    s = split_ranks(rank_scale(seed, 8))
-    assert s.n_projectors == 392
-    calls = []
-    monkeypatch.setattr(model, "projector_orthogonal",
-                        lambda p, q: calls.append(1) or projector_orthogonal(p, q))
-    orthogonality_graph(s)
-    assert calls == []
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", _RANK1_NAMES)
+def test_split_block_copies_spread_the_graph_over_the_blocks(name, n):
+    # ray k of projector i of rank_scale(S, n) lies in block k and is ray
+    # i*n + k of the split: two rays in one block are orthogonal exactly
+    # when their projectors of S are, and rays in different blocks always
+    # are.  The split reads the layout from the rays, so a copy parsed
+    # from its set file has the same graph.
+    seed = catalog.seed_set(name)
+    spread = reference_block_graph(reference_graph(seed), n)
+    scaled = rank_scale(seed, n)
+    assert orthogonality_graph(split_ranks(scaled)) == spread
+    assert orthogonality_graph(split_ranks(parse(serialize(scaled)))) == spread
 
 
-def _graph_products(monkeypatch, s: KSSet) -> int:
-    """The projector_orthogonal calls orthogonality_graph(s) makes."""
-    calls = []
-    with monkeypatch.context() as patch:
-        patch.setattr(model, "projector_orthogonal",
-                      lambda p, q: calls.append(1) or projector_orthogonal(p, q))
-        orthogonality_graph(s)
-    return len(calls)
-
-
-def test_split_of_a_parsed_block_copy_takes_no_product(monkeypatch):
-    # split_ranks reads the block layout of rank_scale(S, n) from the rays,
-    # so a copy parsed from its set file carries its masks as well
-    s = split_ranks(parse(serialize(rank_scale(catalog.seed_set("d4-18-9"), 2))))
-    assert _graph_products(monkeypatch, s) == 0
-    assert orthogonality_graph(s) == reference_graph(s)
-
-
-@pytest.mark.parametrize("shift, carried", [(0, True), (1, False), (5, False)])
-def test_split_graph_checks_the_block_layout(monkeypatch, shift, carried):
+@pytest.mark.parametrize("shift", [0, 1, 5])
+def test_split_graph_matches_the_reference_whatever_the_block_layout(shift):
     # rank-2 projectors of d6-21-7's rays, ray i in block 0 with ray
     # i + shift in block 1: only shift 0 is the layout of a block copy.
     # Every ray has the same support window, so only the entries tell, and
-    # for shift != 0 the blocks have different graphs, so the split's graph
-    # cannot be spread from the operand's.
+    # for shift != 0 the blocks have different graphs.
     rays = [p.span[0] for p in catalog.seed_set("d6-21-7").projectors.values()]
     s = KSSet(12, {
         f"p{i}": Projector((u.padded(0, 6), rays[(i + shift) % 21].padded(6, 0)))
         for i, u in enumerate(rays)}, [])
     split = split_ranks(s)
-    assert (_graph_products(monkeypatch, split) == 0) == carried
     assert orthogonality_graph(split) == reference_graph(split)
 
 
-def test_split_of_a_rank1_set_takes_no_product(monkeypatch):
-    # an all-rank-1 set splits into itself, so it keeps its masks
+def test_split_of_a_rank1_set_is_the_set():
     seed = catalog.seed_set("d10-39-9")
-    orthogonality_graph(seed)
     s = split_ranks(seed)
     assert serialize(s) == serialize(seed)
-    assert _graph_products(monkeypatch, s) == 0
     assert orthogonality_graph(s) == orthogonality_graph(seed)
 
 
-@pytest.mark.parametrize("chain, copies, carried", [
-    ("ceg(d4-18-9, 5)", 18, False),
-    ("ceg(d4-18-9, 7)", 18, False),
-    ("ceg(rank_scale(d4-18-9, 2), 9)", 18, False),
-    ("ceg(rank_scale(d4-18-9-rot, 1), 5)", 18, True),
-    ("ceg(rank_scale(d4-18-9-rot, 2), 9)", 18, True),
-    ("ceg(rank_scale(d6-21-7, 1), 7)", 21, True),
-    ("ceg(rank_scale(d6-21-7, 2), 13)", 21, True),
-])
-def test_ceg_copies_take_no_product_unless_a_subspace_is_identified(
-        monkeypatch, chain, copies, carried):
-    # the graph of a fresh copy checks every pair it cannot skip; a ceg
-    # output skips the pairs inside each of its two copies too, unless
-    # _assemble identified a subspace, as for the unrotated d4-18-9 at
-    # d = 5, 7 and 9, where fewer than 2R + 3 projectors remain
+# The ceg outputs of _CEG_CASES in which _assemble identifies a subspace, so
+# that fewer than 2R + 3 projectors remain.
+_CEG_IDENTIFYING = {
+    "ceg(d4-18-9, 5)", "ceg(d4-18-9, 7)", "ceg(rank_scale(d4-18-9, 2), 9)",
+    "ceg(d5-29-16, 9)", "ceg(split_ranks(rank_scale(d4-18-9, 2)), 13)",
+}
+
+
+@pytest.mark.parametrize("chain", _CEG_CASES)
+def test_ceg_copies_keep_the_operand_graph(chain):
+    # each copy of ceg(S, d) is S shifted by 0 or by d - dim S, so unless a
+    # subspace is identified, the output's graph restricted to the first R
+    # or to the next R projectors is S's graph; a fresh copy parsed from
+    # the set file has the same graph either way
+    operand = build_chain(chain[len("ceg("):chain.rindex(",")])
     s = build_chain(chain)
-    assert (s.n_projectors == 2 * copies + 3) == carried
-    fresh = parse(serialize(s))
-    fresh_calls = _graph_products(monkeypatch, fresh)
-    calls = _graph_products(monkeypatch, s)
-    assert orthogonality_graph(s) == orthogonality_graph(fresh)
-    assert calls < fresh_calls if carried else calls == fresh_calls
+    r = operand.n_projectors
+    assert (s.n_projectors < 2 * r + 3) == (chain in _CEG_IDENTIFYING)
+    graph = orthogonality_graph(s)
+    assert graph == orthogonality_graph(parse(serialize(s)))
+    if chain not in _CEG_IDENTIFYING:
+        own, copy = orthogonality_graph(operand), (1 << r) - 1
+        assert tuple(m & copy for m in graph[:r]) == own
+        assert tuple(m >> r & copy for m in graph[r:2 * r]) == own
 
 
 _entry_values = st.integers(min_value=-6, max_value=6)
