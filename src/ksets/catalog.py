@@ -141,7 +141,7 @@ def _load(name: str) -> KSSet:
         # A one-line source is a chain.  construct imports this module, so
         # build_chain is imported when a chain is first built.
         from .construct import build_chain
-        # The copy keeps the validation flag and the orthogonality masks.
+        # The copy keeps the validation flag, so symbol validates nothing.
         s = build_chain(source).copy(name=name)
     computed = symbol(s).detailed
     if computed != recorded:

@@ -13,9 +13,9 @@ here.
 
 Each table row writes its constructions down once, as a chain string such
 as ``split_ranks(rank_scale(d6-21-7, 2))``; build_chain runs any such string
-and is the only way the table builds a set.  A construction called on its
-own validates the set it returns; build_chain validates, in full, only the
-set the chain gives, which covers the sets built on the way (see there).
+and is the only way the table builds a set.  A construction validates its
+operands, not the set it returns, which its first reader validates;
+build_chain validates, in full, only the set the chain gives (see there).
 """
 
 from __future__ import annotations
@@ -59,23 +59,18 @@ def _assemble(
     parts: list[tuple[str, Projector]],
     contexts: list[Context],
     name: str | None,
-    deferred: bool,
 ) -> KSSet:
     """The set of the labelled parts and the contexts over their labels,
-    validated unless it is deferred, which it is when the operands it was
-    built from are (KSSet._deferred).  Equal subspaces are identified under
-    the first label, each context keeps a member once, and a context whose
-    member set an earlier one has is dropped."""
+    unvalidated: its first reader validates it.  Equal subspaces are
+    identified under the first label, each context keeps a member once, and
+    a context whose member set an earlier one has is dropped."""
     index = SubspaceIndex()
     first = {label: index.add(label, proj) for label, proj in parts}
     unique: dict[frozenset[str], Context] = {}
     for ctx in contexts:
         members = tuple(dict.fromkeys(map(first.__getitem__, ctx)))
         unique.setdefault(frozenset(members), members)
-    out = KSSet(dimension, index.table, list(unique.values()), name=name,
-                _deferred=deferred)
-    ensure_valid(out)
-    return out
+    return KSSet(dimension, index.table, list(unique.values()), name=name)
 
 
 def _direct_sum(
@@ -96,8 +91,13 @@ def _direct_sum(
         for c1, c2 in pairs
     ]
     return _assemble(d1 + d2, parts, contexts,
-                     f"{s1.name or 'A'}(+){s2.name or 'B'}",
-                     s1._deferred and s2._deferred)
+                     f"{s1.name or 'A'}(+){s2.name or 'B'}")
+
+
+# The most entries a construction writes: ray entries for rank_scale (n^2 d
+# times the rank sum) and ceg (d' times twice the rank sum plus d'), context
+# entries for pz_basic (B1 B2 contexts times d1 + d2, their most members).
+MAX_SCALED_ENTRIES = 1 << 20
 
 
 def pz_basic(s1: KSSet, s2: KSSet) -> KSSet:
@@ -105,6 +105,11 @@ def pz_basic(s1: KSSet, s2: KSSet) -> KSSet:
     over R1+R2 projectors in dimension d1+d2."""
     ensure_valid(s1)
     ensure_valid(s2)
+    entries = s1.n_contexts * s2.n_contexts * (s1.dimension + s2.dimension)
+    if entries > MAX_SCALED_ENTRIES:
+        raise BadDimensionError(
+            f"pairing every context makes {entries} context entries; the "
+            f"limit is {MAX_SCALED_ENTRIES}")
     pairs = [(c1, c2) for c1 in s1.contexts for c2 in s2.contexts]
     return _direct_sum(s1, s2, pairs)
 
@@ -190,7 +195,7 @@ def merge_rank(s: KSSet) -> KSSet:
         for sig, members in groups.items()
     ]
     contexts = [tuple(label[sigs[pid]] for pid in ctx) for ctx in s.contexts]
-    return _assemble(s.dimension, parts, contexts, s.name, s._deferred)
+    return _assemble(s.dimension, parts, contexts, s.name)
 
 
 def split_ranks(s: KSSet) -> KSSet:
@@ -207,12 +212,7 @@ def split_ranks(s: KSSet) -> KSSet:
     ]
     contexts = [tuple(rid for pid in ctx for rid in ray_ids[pid])
                 for ctx in s.contexts]
-    return _assemble(s.dimension, parts, contexts, s.name, s._deferred)
-
-
-# The most ray entries rank_scale (n^2 d times the rank sum) and ceg (d'
-# times twice the rank sum plus d') write.
-MAX_SCALED_ENTRIES = 1 << 20
+    return _assemble(s.dimension, parts, contexts, s.name)
 
 
 def rank_scale(s: KSSet, n: int) -> KSSet:
@@ -236,8 +236,7 @@ def rank_scale(s: KSSet, n: int) -> KSSet:
                               for k in range(n) for r in proj.span)))
         for pid, proj in s.projectors.items()
     ]
-    return _assemble(n * d, parts, s.contexts, f"{s.name or 'S'}(scale{n})",
-                     s._deferred)
+    return _assemble(n * d, parts, s.contexts, f"{s.name or 'S'}(scale{n})")
 
 
 def ceg(s: KSSet, d_target: int) -> KSSet:
@@ -274,8 +273,7 @@ def ceg(s: KSSet, d_target: int) -> KSSet:
     contexts = [("padL", "padC", "padR")]
     contexts += [tuple(f"a{pid}" for pid in ctx) + ("padR",) for ctx in s.contexts]
     contexts += [tuple(f"b{pid}" for pid in ctx) + ("padL",) for ctx in s.contexts]
-    return _assemble(d_target, parts, contexts, f"{s.name or 'S'}(ceg{d_target})",
-                     s._deferred)
+    return _assemble(d_target, parts, contexts, f"{s.name or 'S'}(ceg{d_target})")
 
 
 def axis_basis_ids(s: KSSet, delta: int) -> list[str]:
@@ -329,8 +327,7 @@ def matsuno(s: KSSet, d_target: int) -> KSSet:
     t_of_v = tuple(swapped[pid] for pid in v_ids)
     contexts = [tuple(ctx) + t_of_v for ctx in s.contexts]
     contexts += [tuple(swapped[pid] for pid in ctx) + v_ids for ctx in s.contexts]
-    return _assemble(d_target, parts, contexts, f"{s.name or 'S'}(swap{d_target})",
-                     s._deferred)
+    return _assemble(d_target, parts, contexts, f"{s.name or 'S'}(swap{d_target})")
 
 
 def apply_transform(s: KSSet, matrix: list[list[CycNum]]) -> KSSet:
@@ -364,7 +361,7 @@ def apply_transform(s: KSSet, matrix: list[list[CycNum]]) -> KSSet:
 
     parts = [(pid, Projector(tuple(apply(r) for r in proj.span)))
              for pid, proj in s.projectors.items()]
-    return _assemble(d, parts, s.contexts, s.name, s._deferred)
+    return _assemble(d, parts, s.contexts, s.name)
 
 
 # The constructions and their operands: SET is a set, N and D are integers.
@@ -401,20 +398,20 @@ def build_chain(chain: str) -> KSSet:
     s): catalog sets are shared, so they keep their own names.
 
     Only the set the chain gives is validated, in full; the sets built on
-    the way are not, and no caller sees them.  The steps take deferred
-    copies of the seeds (KSSet._deferred), so they neither check their
-    operands nor the sets they build, and build_chain validates the last
-    one.  That check covers every step: each construction keeps every
-    projector of its operand, padded, shifted, split into its span rays or
-    merged with the projectors that share all its contexts, and every
-    context, extended by projectors orthogonal to it.  So a zero span ray,
-    two non-orthogonal span rays of a projector in some context, a rank
-    sum off the dimension or two non-orthogonal members of a context in a
-    set on the way shows again in the chain's set, and fails its
-    validation.  Each construction also takes valid operands to a valid
-    set, and the seeds are validated when they load."""
+    the way are not, and no caller sees them.  The seeds go in as loaded,
+    validated.  Each step returns its set unvalidated, and it goes on as a
+    deferred copy (KSSet._deferred), which the next step's operand check
+    passes; build_chain validates a copy of the last one, so no set a step
+    returns is changed.  That check covers every step: each construction
+    keeps every projector of its operand, padded, shifted, split into its
+    span rays or merged with the projectors that share all its contexts,
+    and every context, extended by projectors orthogonal to it.  So a zero
+    span ray, two non-orthogonal span rays of a projector in some context,
+    a rank sum off the dimension or two non-orthogonal members of a
+    context in a set on the way shows again in the chain's set, and fails
+    its validation.  Each construction also takes valid operands to a
+    valid set, and the seeds are validated when they load."""
     calls: list[tuple[str, list]] = [("", [])]  # open calls and their args
-    seeds: list[tuple[KSSet, KSSet]] = []  # each seed and its deferred copy
     want_arg = True
     for word, paren, punct in _CHAIN_TOKEN.findall(chain):
         if want_arg and paren:
@@ -430,9 +427,7 @@ def build_chain(chain: str) -> KSSet:
                 raise ChainSyntaxError("number too long in chain") from None
             want_arg = False
         elif want_arg and word:
-            seed = catalog.seed_set(word)
-            seeds.append((seed, seed.copy(_deferred=True)))
-            calls[-1][1].append(seeds[-1][1])
+            calls[-1][1].append(catalog.seed_set(word))
             want_arg = False
         elif not want_arg and punct == "," and len(calls) > 1:
             want_arg = True
@@ -445,7 +440,8 @@ def build_chain(chain: str) -> KSSet:
                     f"got ({', '.join(kinds)})")
             # Looked up when the chain runs, so that a rebound module
             # attribute (the benchmark's tracer rebinds them) sees the call.
-            calls[-1][1].append(globals()[name](*args))
+            out = globals()[name](*args)
+            calls[-1][1].append(out if out._validated else out.copy(_deferred=True))
         else:
             raise ChainSyntaxError(
                 f"unexpected {word + paren or punct!r} in chain {chain!r}")
@@ -454,9 +450,8 @@ def build_chain(chain: str) -> KSSet:
     out = calls[0][1][0]
     if not isinstance(out, KSSet):
         raise ChainSyntaxError(f"chain {chain!r} gives no set")
-    for seed, copy in seeds:
-        if out is copy:
-            return seed
+    if out._validated:  # a seed the chain names
+        return out
     out = out.copy(name=" ".join(chain.split()), _deferred=False)
     ensure_valid(out)
     return out

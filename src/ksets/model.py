@@ -13,8 +13,8 @@ callers that need the value.  Equal subspaces are found through one hash
 index, SubspaceIndex, shared by validate and construct._assemble, the step
 every construction builds its output through.  A subspace of any rank, a
 single ray included, is keyed by its rank and one residue, w'^T P w mod N
-for its orthogonal projector P and two probe vectors of powers, computed
-once per projector (Projector.key), and a key match is confirmed exactly by
+for its orthogonal projector P and two probe vectors of powers, made with
+the projector (Projector.key), and a key match is confirmed exactly by
 Pythagoras: a vector lies in a span when its projection keeps all of its
 norm.  Shifting a window multiplies the probes by a fixed power, so each
 packing computes its part of every key once, and a key costs one product
@@ -26,8 +26,8 @@ as one integer bitmask per projector, and cached in KSSet._orth; it takes
 pairs with disjoint supports and pairs that validation proved orthogonal
 in a shared context without a product, and orthogonality_graph returns the
 cached tuple of masks.  Which projectors share a context is read from
-KSSet.members() with union_of.  Every set is validated before its graph or
-its symbol is read, except the sets a chain builds on the way
+KSSet.members() with union_of.  Every set is validated by its first
+reader (ensure_valid), except the sets a chain builds on the way
 (KSSet._deferred), whose check is the chain output's.
 """
 
@@ -44,7 +44,8 @@ from .errors import DimensionMismatch, ValidationError
 
 
 class Ray:
-    """A nonzero vector regarded projectively: scalar multiples are equal.
+    """A nonzero vector.  == and hash compare entries, so a ray and its
+    double are unequal; projector_equal decides whether two rays span one line.
     It is packed when made, over its support window, the entries _lo up to
     the last nonzero one: _vals and _conjs hold the images (cyclo.pack) of
     those entries and of their conjugates, scaled by the lcm _lcm of their
@@ -116,18 +117,13 @@ class Ray:
         return "Ray(" + " ".join(render_scalar(e) for e in self.entries) + ")"
 
 
-# Projector.key before its first read.
-_UNREAD = object()
-
-
 class Projector:
     """A rank-r subspace given by r mutually orthogonal nonzero rays.
     Projectors compare and hash by their span rays.
 
     support is the union of the span rays' supports.  key is
-    _subspace_key(self), filled in when SubspaceIndex.add first reads it
-    (_UNREAD before), so the index a construction keeps and validate's
-    share it."""
+    _subspace_key(self), computed when the projector is made, so the index
+    a construction keeps and validate's share it."""
 
     __slots__ = ("span", "support", "key")
 
@@ -136,7 +132,7 @@ class Projector:
         self.support: frozenset[int] = (
             span[0].support if len(span) == 1
             else frozenset().union(*(ray.support for ray in span)))
-        self.key: Hashable | None = _UNREAD
+        self.key: Hashable | None = _subspace_key(self)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Projector) and self.span == other.span
@@ -162,11 +158,11 @@ class KSSet:
     _orth is the set's orthogonality masks, or None until
     orthogonality_graph first computes them.
 
-    _deferred marks a seed or an intermediate set inside one
-    construct.build_chain run: ensure_valid passes it unchecked, and the
-    constructions build deferred sets from it, because build_chain
-    validates the set the chain gives (see there).  No deferred set leaves
-    build_chain.  _validated is set by validate once the set passes."""
+    _validated is set by validate once the set passes; a set is made
+    without it.  _deferred marks a set that construct.build_chain hands
+    from one step to the next: ensure_valid passes it unchecked, since
+    build_chain validates the set the chain gives.  Only build_chain sets
+    it, on its own copies."""
 
     def __init__(
         self,
@@ -174,7 +170,6 @@ class KSSet:
         projectors: dict[str, Projector],
         contexts: list[Context],
         name: str | None = None,
-        _deferred: bool = False,
     ):
         self.dimension = dimension
         self.projectors = projectors
@@ -182,7 +177,7 @@ class KSSet:
         self.name = name
         self._validated = False
         self._orth: tuple[int, ...] | None = None
-        self._deferred = _deferred
+        self._deferred = False
 
     def copy(self, **changes) -> KSSet:
         """A shallow copy with the given attributes replaced, as in
@@ -390,7 +385,7 @@ class SubspaceIndex:
     """Projectors stored by id, at most one per subspace: validate finds
     equal subspaces with one, and construct._assemble identifies them.
 
-    Each projector is looked up by its key (_subspace_key), so the spans
+    Each projector is looked up by its key (Projector.key), so the spans
     must be orthogonal, and a key match is confirmed with projector_equal.  A
     projector without a key is compared exactly with every stored
     projector, and every later projector is compared with it too."""
@@ -404,8 +399,6 @@ class SubspaceIndex:
         """The id of a stored projector with the subspace of proj, else pid
         after storing proj under it."""
         key = proj.key
-        if key is _UNREAD:
-            key = proj.key = _subspace_key(proj)
         if key is None:
             candidates = list(self.table)
         else:
@@ -525,9 +518,9 @@ def validate(s: KSSet) -> ValidationReport:
 
 
 def ensure_valid(s: KSSet) -> None:
-    """Raise ValidationError unless s passes validation (cached).  A
-    deferred set (KSSet._deferred) passes: the output of its chain is
-    checked instead."""
+    """Raise ValidationError unless s passes validation, which is cached: a
+    set's first reader validates it.  A deferred set (KSSet._deferred)
+    passes, since the output of its chain is checked instead."""
     if s._validated or s._deferred:
         return
     report = validate(s)

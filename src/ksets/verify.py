@@ -399,11 +399,11 @@ def reduce_critical(
     A critical input keeps k = 1 and runs exactly the plain scan's
     searches.
 
-    The core is a new set, not yet validated, so its first reader
-    validates it (ksets reduce does so through serialize).  That check
-    passes: its contexts are a subset of the validated input's contexts,
-    its projectors are exactly those they use, and every check of
-    validation holds on such a subset."""
+    The core, like every set a construction returns, is not yet validated,
+    so its first reader validates it (ksets reduce does so through
+    serialize).  That check passes: its contexts are a subset of the
+    validated input's contexts, its projectors are exactly those they use,
+    and every check of validation holds on such a subset."""
     problem = _compile_uncolorable(s, mode, stats, "nothing to reduce")
     n = len(problem.ctx_masks)
     active = (1 << n) - 1  # bit ci: context ci is kept

@@ -39,6 +39,15 @@ def basis_set(d: int) -> KSSet:
     return KSSet(d, projs, [tuple(str(i + 1) for i in range(d))], name=f"basis{d}")
 
 
+def planar_bases_text(n: int) -> str:
+    """A d = 2 set file of n contexts, the bases (1, k), (-k, 1) for
+    k = 1..n, over 2n distinct rays."""
+    lines = ["dim 2"]
+    for k in range(1, n + 1):
+        lines += [f"ray p{k} 1 {k}", f"ray q{k} {-k} 1", f"ctx p{k} q{k}"]
+    return "\n".join(lines) + "\n"
+
+
 @lru_cache(maxsize=None)
 def _census_master() -> tuple[tuple, tuple]:
     """Rays of {0, +-1}^4 up to sign (first nonzero entry +1) and their

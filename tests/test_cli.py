@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import planar_bases_text
 from ksets.cli import main
 from ksets.construct import build_chain, table_recipe
 from ksets.setfile import parse, serialize
@@ -247,6 +248,15 @@ def test_construct_pairing_only_for_pz(capsys, argv):
     assert code == 2
     assert out == ""
     assert err == f"error: --pairing applies to construct pz only, not {argv[0]}\n"
+
+
+def test_construct_pz_basic_refuses_an_oversized_output(capsys, tmp_path):
+    path = tmp_path / "bases.ks"
+    path.write_text(planar_bases_text(600))
+    code, out, err = run(capsys, "construct", "pz-basic", str(path), str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: pairing every context makes 1440000 context")
 
 
 def test_construct_pz_default_pairing(capsys):

@@ -12,7 +12,7 @@ from math import isqrt
 
 import pytest
 
-from conftest import basis_set, census_set
+from conftest import basis_set, census_set, planar_bases_text
 from ksets import catalog, construct, model, setfile
 from ksets.cyclo import CycNum, ONE, ZERO
 from ksets.errors import (
@@ -54,6 +54,7 @@ from ksets.construct import (
 from ksets.verify import (
     Mode,
     SearchStats,
+    export_cnf,
     find_assignment,
     is_critical,
     is_ks,
@@ -81,6 +82,17 @@ def test_pz_basic_mixed_counts(s18, s21):
     for ctx in out.contexts:
         ranksum = sum(out.projectors[pid].rank for pid in ctx)
         assert ranksum == 10
+
+
+def test_pz_basic_bounds_its_output_before_building_it(monkeypatch):
+    # n bases in d = 2 pair into n^2 contexts of 4 members in d = 4: 512 of
+    # them reach the limit, 2^20, and 600 (1.44 M) exceed it
+    over = setfile.parse(planar_bases_text(600))
+    assert validate(over).ok
+    _raises_without_allocating("1440000 context entries", pz_basic, over, over)
+    at_limit = setfile.parse(planar_bases_text(512))
+    monkeypatch.setattr(construct, "_direct_sum", lambda s1, s2, pairs: len(pairs))
+    assert pz_basic(at_limit, at_limit) == 512 ** 2 == MAX_SCALED_ENTRIES // 4
 
 
 # -- paired direct sum -----------------------------------------------
@@ -344,15 +356,16 @@ def test_rank_scale_names_its_output(s21):
     assert rank_scale(s21, 1) is s21
 
 
-def _raises_without_allocating(s, n):
+def _raises_without_allocating(match, build, *args):
     tracemalloc.start()
     try:
-        with pytest.raises(BadDimensionError, match="ray entries"):
-            rank_scale(s, n)
+        with pytest.raises(BadDimensionError, match=match):
+            build(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one scaled projector of d4-18-9, n rays of 4n entries, takes more
+    # one scaled projector of d4-18-9, n rays of 4n entries, takes more, as
+    # does the list of context pairs of pz_basic
     assert peak < 64 * 1024
 
 
@@ -362,8 +375,8 @@ def test_rank_scale_bounds_its_output_before_building_it(s18):
     first_over = isqrt(MAX_SCALED_ENTRIES // per_n2) + 1
     assert per_n2 * (first_over - 1) ** 2 <= MAX_SCALED_ENTRIES
     assert per_n2 * first_over ** 2 > MAX_SCALED_ENTRIES
-    _raises_without_allocating(s18, first_over)
-    _raises_without_allocating(s18, 10**12)
+    _raises_without_allocating("ray entries", rank_scale, s18, first_over)
+    _raises_without_allocating("ray entries", rank_scale, s18, 10**12)
 
 
 def test_rank_scale_bound_admits_every_table_chain_to_40():
@@ -894,6 +907,17 @@ def test_build_chain_matches_the_steps_called_one_by_one(chain):
     assert orthogonality_graph(got) == orthogonality_graph(expected)
 
 
+def _tilted(s: KSSet) -> KSSet:
+    """A copy of s whose second member of the first context has its first
+    span ray tilted towards the first member, which it is no longer
+    orthogonal to."""
+    a, b = s.contexts[0][:2]
+    u, *rest = s.projectors[b].span
+    tilted = Ray([x + y for x, y in zip(s.projectors[a].span[0].entries,
+                                        u.entries)])
+    return s.copy(projectors={**s.projectors, b: Projector((tilted, *rest))})
+
+
 def test_build_chain_rejects_a_faulty_inner_step(monkeypatch):
     # A rank_scale that tilts one ray of a context member towards another
     # member.  build_chain checks no set on the way, but split_ranks keeps
@@ -901,13 +925,7 @@ def test_build_chain_rejects_a_faulty_inner_step(monkeypatch):
     original = construct.rank_scale
 
     def faulty(s, n):
-        out = original(s, n)
-        a, b = out.contexts[0][:2]
-        u, v, *rest = out.projectors[b].span
-        tilted = Ray([x + y for x, y in zip(out.projectors[a].span[0].entries,
-                                            u.entries)])
-        return out.copy(projectors={
-            **out.projectors, b: Projector((tilted, v, *rest))})
+        return _tilted(original(s, n))
 
     monkeypatch.setattr(construct, "rank_scale", faulty)
     with pytest.raises(ValidationError, match="not orthogonal"):
@@ -917,16 +935,39 @@ def test_build_chain_rejects_a_faulty_inner_step(monkeypatch):
 
 
 def test_build_chain_leaves_its_seeds_and_output_checked():
-    # no set a caller sees is deferred, and every set a caller sees from a
-    # chain or a construction called on its own has passed validation
+    # no set a caller receives is deferred, a chain leaves its seeds as
+    # loaded, and a construction called on its own returns its set
+    # unvalidated: its first reader validates it
     seed = catalog.seed_set("d4-18-9")
+    loaded = dict(vars(seed))
     out = build_chain("split_ranks(rank_scale(d4-18-9, 2))")
     assert out._validated and not out._deferred
-    assert seed._validated and not seed._deferred
     assert build_chain("rank_scale(d4-18-9, 1)") is seed
-    for step in (split_ranks(rank_scale(seed, 2)), ceg(seed, 5),
-                 merge_rank(seed), matsuno(seed, 5)):
-        assert step._validated and not step._deferred
+    assert vars(seed).keys() == loaded.keys()
+    assert all(vars(seed)[k] is v for k, v in loaded.items())
+    assert seed._validated and not seed._deferred
+    scaled = rank_scale(seed, 2)
+    assert not scaled._validated and not scaled._deferred
+    steps = [split_ranks(scaled), ceg(seed, 5), merge_rank(seed),
+             matsuno(seed, 5), pz_basic(seed, seed), pz_improved(seed, seed)]
+    assert scaled._validated  # split_ranks's operand check read it first
+    for step in steps:
+        assert not step._validated and not step._deferred
+        symbol(step)
+        assert step._validated
+
+
+@pytest.mark.parametrize("reader", [
+    symbol, orthogonality_graph, is_ks, find_assignment, is_critical,
+    reduce_critical, is_parity, export_cnf, setfile.serialize, split_ranks,
+], ids=lambda reader: reader.__name__)
+def test_every_reader_validates_a_standalone_construction(reader):
+    # a construction called on its own does not validate its set, so a
+    # fault planted in it must stop its first reader
+    faulty = _tilted(rank_scale(catalog.seed_set("d4-18-9"), 2))
+    with pytest.raises(ValidationError, match="not orthogonal"):
+        reader(faulty)
+    assert not faulty._validated
 
 
 def test_table_build_pass_work_counts(monkeypatch):

@@ -1,9 +1,9 @@
 """Source guards on the package: no module imports random, as the README
 promises that no probabilistic step enters any decision, the constructions
 make their sets in one place and leave them as made, a set's graph state is
-written in four places, the catalog makes and symbol-checks its sets in
-one place, no function calls itself, and every name the package exports
-resolves."""
+written in two places and its deferral by build_chain alone, the catalog
+makes and symbol-checks its sets in one place, no function calls itself,
+and every name the package exports resolves."""
 
 from __future__ import annotations
 
@@ -66,26 +66,46 @@ def _owners(tree: ast.AST) -> dict[int, str]:
     return owner
 
 
-def test_graph_state_is_written_only_where_it_is_made():
-    # KSSet._orth is emptied by KSSet.__init__ and filled by
-    # orthogonality_graph; no construction carries a graph into a set
-    writers = set()
+def _uses(attr: str) -> tuple[set, set]:
+    """The writers and the readers of a set attribute across the package,
+    each as (file, outermost function, the object or the called function):
+    a write assigns it or passes it by keyword or by name to a call, a
+    read loads it."""
+    writers, readers = set(), set()
     for path in sorted(Path(ksets.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         owner = _owners(tree)
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute) and node.attr == "_orth"
-                    and not isinstance(node.ctx, ast.Load)):
-                writers.add((path.name, owner.get(id(node)), ast.unparse(node.value)))
+            if isinstance(node, ast.Attribute) and node.attr == attr:
+                found = readers if isinstance(node.ctx, ast.Load) else writers
+                found.add((path.name, owner.get(id(node)), ast.unparse(node.value)))
             elif isinstance(node, ast.Call) and (
-                    any(k.arg == "_orth" for k in node.keywords)
-                    or any(isinstance(a, ast.Constant) and a.value == "_orth"
+                    any(k.arg == attr for k in node.keywords)
+                    or any(isinstance(a, ast.Constant) and a.value == attr
                            for a in node.args)):
                 writers.add((path.name, owner.get(id(node)), ast.unparse(node.func)))
-    assert writers == {
+    return writers, readers
+
+
+def test_graph_state_is_written_only_where_it_is_made():
+    # KSSet._orth is emptied by KSSet.__init__ and filled by
+    # orthogonality_graph; no construction carries a graph into a set
+    assert _uses("_orth")[0] == {
         ("model.py", "__init__", "self"),
         ("model.py", "orthogonality_graph", "s"),
     }
+
+
+def test_only_build_chain_defers_validation():
+    # KSSet._deferred is cleared by KSSet.__init__, set and cleared on
+    # build_chain's own copies, and read by ensure_valid alone: no
+    # construction reads, passes or sets it
+    writers, readers = _uses("_deferred")
+    assert writers == {
+        ("model.py", "__init__", "self"),
+        ("construct.py", "build_chain", "out.copy"),
+    }
+    assert readers == {("model.py", "ensure_valid", "s")}
 
 
 def test_constructions_leave_the_sets_of_assemble_as_made():

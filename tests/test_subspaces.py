@@ -189,17 +189,15 @@ def test_distinct_subspaces_with_equal_rank_and_support_are_kept():
     assert validate(KSSet(3, planes, [])).ok
 
 
-def test_key_match_alone_merges_nothing(monkeypatch):
+def test_key_match_alone_merges_nothing():
     # every projector of rank >= 2 gets one key: only projector_equal decides.
-    # The shared source is built before the patch, so its projectors, which
-    # keep their keys, never take the patched one into later tests.
+    # The keys are set on fresh copies, so the shared source keeps its own.
     s = _source("rank_scale(d4-18-9, 2)")
     _, q = _rebased_pair()
-    real = model._subspace_key
-    monkeypatch.setattr(
-        model, "_subspace_key", lambda p: real(p) if p.rank == 1 else "same")
-    # fresh copies: the set's own projectors keep the keys validation gave them
     projs = {pid: Projector(p.span) for pid, p in s.projectors.items()}
+    for p in (*projs.values(), q):
+        if p.rank > 1:
+            p.key = "same"
     index = SubspaceIndex()
     assert [index.add(pid, p) for pid, p in projs.items()] == list(projs)
     assert index.add("again", q) == next(iter(projs))
@@ -213,7 +211,7 @@ def _rebased_pair() -> tuple[Projector, Projector]:
 
 
 @pytest.mark.parametrize("keyless", ["some", "all"])
-def test_projectors_without_a_key_still_find_duplicates(monkeypatch, keyless):
+def test_projectors_without_a_key_still_find_duplicates(keyless):
     s = _source("rank_scale(d4-18-9, 2)")
     p, q = _rebased_pair()
     projs = dict(s.projectors)
@@ -222,36 +220,31 @@ def test_projectors_without_a_key_still_find_duplicates(monkeypatch, keyless):
     first = ids[0]
     assert projs[first] is p
     # without a key: every second projector, and in turn the original and
-    # its duplicate, so both directions of the fallback are taken
-    for chosen in ({p}, {q}, {p, q}):
-        if keyless == "some":
-            drop = {id(projs[pid]) for pid in ids[1::2]} | {id(x) for x in chosen}
-        else:
-            drop = {id(x) for x in projs.values()}
-        real = model._subspace_key
-        monkeypatch.setattr(
-            model, "_subspace_key", lambda r: None if id(r) in drop else real(r))
-        report = validate(KSSet(s.dimension, projs, list(s.contexts)))
+    # its duplicate, so both directions of the fallback are taken.  The
+    # keys are dropped from fresh copies, so the shared source keeps its own.
+    for chosen in ({first}, {"dup"}, {first, "dup"}):
+        drop = set(ids[1::2]) | chosen if keyless == "some" else set(ids)
+        fresh = {pid: Projector(r.span) for pid, r in projs.items()}
+        for pid in drop:
+            fresh[pid].key = None
+        report = validate(KSSet(s.dimension, fresh, list(s.contexts)))
         assert report.issues == [f"projectors {first} and dup: equal subspaces"]
         index = SubspaceIndex()
-        assert [index.add(pid, r) for pid, r in projs.items()] == ids[:-1] + [first]
-        monkeypatch.setattr(model, "_subspace_key", real)
+        assert [index.add(pid, r) for pid, r in fresh.items()] == ids[:-1] + [first]
 
 
 @pytest.mark.parametrize("keyless", ["stored", "later"])
-def test_a_keyless_projector_meets_its_duplicate_on_fresh_copies(monkeypatch, keyless):
-    # a projector computes its key once, so the patch comes before any key
-    # of these fresh copies: the stored original or its later duplicate has
-    # none, and the other is compared with it exactly
+def test_a_keyless_projector_meets_its_duplicate_on_fresh_copies(keyless):
+    # a projector computes its key when it is made, so the key is dropped
+    # from one of these fresh copies: the stored original or its later
+    # duplicate has none, and the other is compared with it exactly
     s = _source("rank_scale(d4-18-9, 2)")
     _, q = _rebased_pair()
     projs = {pid: Projector(r.span) for pid, r in s.projectors.items()}
     projs["dup"] = Projector(q.span)
     first = next(iter(projs))
     drop = projs[first] if keyless == "stored" else projs["dup"]
-    real = model._subspace_key
-    monkeypatch.setattr(
-        model, "_subspace_key", lambda r: None if r is drop else real(r))
+    drop.key = None
     report = validate(KSSet(s.dimension, projs, list(s.contexts)))
     assert report.issues == [f"projectors {first} and dup: equal subspaces"]
     assert drop.key is None
