@@ -42,6 +42,7 @@ from .model import (
     ensure_valid,
     inner,
     orthogonal,
+    set_bits,
 )
 from .setfile import _fresh, _ray_ids
 # find_assignment and reduce_critical stay bound here: the benchmark's tracer
@@ -282,9 +283,9 @@ def axis_basis_ids(s: KSSet, delta: int) -> list[str]:
     for pid, proj in s.projectors.items():
         if proj.rank != 1:
             continue
-        ray = proj.span[0]
-        if len(ray.support) == 1:
-            coord = next(iter(ray.support))
+        support = proj.span[0].support
+        if support.bit_count() == 1:
+            coord = support.bit_length() - 1
             if coord < delta and coord not in found:
                 found[coord] = pid
     missing = [i for i in range(delta) if i not in found]
@@ -319,8 +320,14 @@ def matsuno(s: KSSet, d_target: int) -> KSSet:
              for pid, proj in s.projectors.items()]
     taken = set(s.projectors)
     swapped = {pid: _fresh(f"{pid}'", taken) for pid in s.projectors}
+    lead = (1 << delta) - 1
     for pid, proj in s.projectors.items():
-        # The ray padded by delta zeros, its first and last delta entries swapped.
+        # The ray padded by delta zeros, its first and last delta entries
+        # swapped.  A ray with no support in the first delta entries is its
+        # padded self, which stands for its swapped copy.
+        if not proj.span[0].support & lead:
+            swapped[pid] = pid
+            continue
         e = proj.span[0].entries
         image = Ray((ZERO,) * delta + e[delta:] + e[:delta])
         parts.append((swapped[pid], Projector((image,))))
@@ -354,7 +361,7 @@ def apply_transform(s: KSSet, matrix: list[list[CycNum]]) -> KSSet:
         for i in range(d):
             acc = ZERO
             row = matrix[i]
-            for j in ray.support:
+            for j in set_bits(ray.support):
                 acc = acc + row[j] * ray.entries[j]
             out.append(acc)
         return Ray(out)

@@ -20,7 +20,9 @@ norm.  Shifting a window multiplies the probes by a fixed power, so each
 packing computes its part of every key once, and a key costs one product
 per span ray.  Rays compare as rank-1 projectors, through projector_equal.
 validate takes each ray product once per pair of packings and shift, so
-the block copies of a construction repeat none.
+the block copies of a construction repeat none, and tests each pair of
+projectors that share a context once.  Supports are int bitmasks (bit i for
+coordinate i), like signatures, members and the graph.
 The full orthogonality relation of a set is computed on its first read,
 as one integer bitmask per projector, and cached in KSSet._orth; it takes
 pairs with disjoint supports and pairs that validation proved orthogonal
@@ -34,8 +36,9 @@ reader (ensure_valid), except the sets a chain builds on the way
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable, Iterator, Sequence
 from functools import cache, reduce
+from itertools import combinations
 from math import lcm, prod
 from operator import mul, or_
 
@@ -46,6 +49,8 @@ from .errors import DimensionMismatch, ValidationError
 class Ray:
     """A nonzero vector.  == and hash compare entries, so a ray and its
     double are unequal; projector_equal decides whether two rays span one line.
+    support is the bitmask of its nonzero entries, bit i for entry i, so two
+    rays' supports meet when support & support is nonzero.
     It is packed when made, over its support window, the entries _lo up to
     the last nonzero one: _vals and _conjs hold the images (cyclo.pack) of
     those entries and of their conjugates, scaled by the lcm _lcm of their
@@ -61,15 +66,16 @@ class Ray:
         support = [i for i, e in enumerate(self.entries) if not e.is_zero()]
         lo, hi = (support[0], support[-1] + 1) if support else (0, 0)
         l = lcm(*(self.entries[i].den for i in support))
-        vals, conjs, norm1, n = [0] * (hi - lo), [0] * (hi - lo), 0, 0
+        vals, conjs, norm1, n, mask = [0] * (hi - lo), [0] * (hi - lo), 0, 0, 0
         for i in support:
+            mask |= 1 << i
             e = self.entries[i]
             m = l // e.den
             v = vals[i - lo] = pack(e) * m
             c = conjs[i - lo] = v if e.israt else pack(e.conj()) * m
             norm1 += m * sum(map(abs, e.num))
             n += c * v
-        self.support = frozenset(support)
+        self.support = mask
         self._lo = lo
         self._vals = tuple(vals)
         self._conjs = self._vals if conjs == vals else tuple(conjs)
@@ -88,11 +94,10 @@ class Ray:
 
     def padded(self, prepend: int, append: int) -> Ray:
         """This ray with prepend zeros before its entries and append zeros
-        after them, sharing its packing."""
+        after them, sharing its packing; its support is shifted by prepend."""
         out = Ray.__new__(Ray)
         out.entries = (ZERO,) * prepend + self.entries + (ZERO,) * append
-        out.support = (frozenset(i + prepend for i in self.support)
-                       if prepend else self.support)
+        out.support = self.support << prepend
         out._lo = self._lo + prepend
         out._vals, out._conjs = self._vals, self._conjs
         out._lcm, out._norm1, out._key = self._lcm, self._norm1, self._key
@@ -121,7 +126,7 @@ class Projector:
     """A rank-r subspace given by r mutually orthogonal nonzero rays.
     Projectors compare and hash by their span rays.
 
-    support is the union of the span rays' supports.  key is
+    support is the OR of the span rays' support bitmasks.  key is
     _subspace_key(self), computed when the projector is made, so the index
     a construction keeps and validate's share it."""
 
@@ -129,9 +134,9 @@ class Projector:
 
     def __init__(self, span: tuple[Ray, ...]):
         self.span = span
-        self.support: frozenset[int] = (
+        self.support: int = (
             span[0].support if len(span) == 1
-            else frozenset().union(*(ray.support for ray in span)))
+            else reduce(or_, (ray.support for ray in span), 0))
         self.key: Hashable | None = _subspace_key(self)
 
     def __eq__(self, other) -> bool:
@@ -182,11 +187,14 @@ class KSSet:
     def copy(self, **changes) -> KSSet:
         """A shallow copy with the given attributes replaced, as in
         s.copy(name="x"): unless changes name them, it shares s's projector
-        table and context list and keeps its validation flag and graph
-        state."""
+        table and context list.  It keeps s's validation flag and graph
+        state unless changes replace the dimension, projectors or contexts,
+        in which case its first reader validates it again."""
         unknown = changes.keys() - vars(self).keys()
         if unknown:
             raise TypeError(f"KSSet has no attribute {sorted(unknown)}")
+        if changes.keys() & {"dimension", "projectors", "contexts"}:
+            changes = {"_validated": False, "_orth": None, **changes}
         out = KSSet.__new__(KSSet)
         vars(out).update(vars(self), **changes)
         return out
@@ -241,6 +249,13 @@ def union_of(masks: Sequence[int], bits: int) -> int:
     return out
 
 
+def set_bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, in ascending order."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
 def inner(u: Ray, v: Ray) -> CycNum:
     """Hermitian inner product, conjugate-linear in the first argument.
 
@@ -259,8 +274,7 @@ def inner(u: Ray, v: Ray) -> CycNum:
         t = _dot(u, v) % PACK_MOD
         return unpack(t, u._lcm * v._lcm) if t else ZERO
     acc = ZERO
-    common = u.support & v.support
-    for i in common:
+    for i in set_bits(u.support & v.support):
         acc = acc + u.entries[i].conj() * v.entries[i]
     return acc
 
@@ -290,20 +304,17 @@ def _dot(u: Ray, v: Ray) -> int:
     return sum(map(mul, u._conjs[-shift:], v._vals))
 
 
-def projector_orthogonal(p: Projector, q: Projector,
-                         orthogonal_rays=None) -> bool:
-    """True when every span ray of p is orthogonal to every span ray of q,
-    each pair decided by orthogonal_rays(u, v), orthogonal unless given.
+def projector_orthogonal(p: Projector, q: Projector) -> bool:
+    """True when every span ray of p is orthogonal to every span ray of q.
     Rays with disjoint supports are orthogonal without a product."""
     dp, dq = len(p.span[0].entries), len(q.span[0].entries)
     if dp != dq:
         raise DimensionMismatch(f"dimensions {dp} != {dq}")
-    if p.support.isdisjoint(q.support):
+    if not p.support & q.support:
         return True
-    test = orthogonal_rays or orthogonal
     for u in p.span:
         for v in q.span:
-            if not u.support.isdisjoint(v.support) and not test(u, v):
+            if u.support & v.support and not orthogonal(u, v):
                 return False
     return True
 
@@ -432,7 +443,13 @@ class ValidationReport:
 
 
 def validate(s: KSSet) -> ValidationReport:
-    """Check every structural invariant and report each violation."""
+    """Check every structural invariant and report each violation.
+
+    Each pair of projectors that share a context is tested once: the pairs
+    are union_of(members, sig) & overlaps over the context bitmasks, as
+    orthogonality_graph walks the pairs that share none, and members whose
+    supports do not meet (_overlaps) are orthogonal without a product.  A
+    pair that fails is reported in every context that holds it."""
     report = ValidationReport()
     if s.dimension < 1:
         report.add(f"dimension {s.dimension} < 1")
@@ -467,7 +484,7 @@ def validate(s: KSSet) -> ValidationReport:
         for i, u in enumerate(span):
             for j in range(i + 1, len(span)):
                 v = span[j]
-                if not u.support.isdisjoint(v.support) and not packed_orthogonal(u, v):
+                if u.support & v.support and not packed_orthogonal(u, v):
                     report.add(f"projector {pid}: span rays {i} and {j} not orthogonal")
     if not report.ok:
         return report
@@ -480,9 +497,29 @@ def validate(s: KSSet) -> ValidationReport:
         if first != pid:
             report.add(f"projectors {first} and {pid}: equal subspaces")
 
-    # Members with disjoint supports are orthogonal without a product.
-    bits = {pid: i for i, pid in enumerate(s.projectors)}
-    overlaps = _overlaps(s)
+    # The context bitmasks leave out unknown members.  A context with an
+    # unknown or a repeated member is reported below, and none of its pairs.
+    pids, projs = list(s.projectors), list(s.projectors.values())
+    index_of = {pid: i for i, pid in enumerate(pids)}
+    members, sigs = [0] * len(s.contexts), [0] * len(pids)
+    for ci, ctx in enumerate(s.contexts):
+        for pid in ctx:
+            i = index_of.get(pid)
+            if i is not None:
+                members[ci] |= 1 << i
+                sigs[i] |= 1 << ci
+    bad: set[frozenset[str]] = set()
+    for i, (p, sig, near) in enumerate(zip(projs, sigs, _overlaps(s))):
+        later = (union_of(members, sig) & near) >> (i + 1)
+        while later:
+            bit = later & -later
+            later ^= bit
+            j = i + bit.bit_length()
+            for u in p.span:
+                for v in projs[j].span:
+                    if u.support & v.support and not packed_orthogonal(u, v):
+                        bad.add(frozenset((pids[i], pids[j])))
+
     seen_ctx: dict[frozenset[str], int] = {}
     for ci, ctx in enumerate(s.contexts):
         missing = [pid for pid in ctx if pid not in s.projectors]
@@ -497,16 +534,10 @@ def validate(s: KSSet) -> ValidationReport:
             report.add(
                 f"context {ci}: rank sum {ranksum} != dimension {s.dimension}"
             )
-        for i in range(len(ctx)):
-            near = overlaps[bits[ctx[i]]]
-            for j in range(i + 1, len(ctx)):
-                if near >> bits[ctx[j]] & 1 and not projector_orthogonal(
-                    s.projectors[ctx[i]], s.projectors[ctx[j]], packed_orthogonal
-                ):
-                    report.add(
-                        f"context {ci}: members {ctx[i]} and {ctx[j]} "
-                        "not orthogonal"
-                    )
+        if bad:
+            for a, b in combinations(ctx, 2):
+                if frozenset((a, b)) in bad:
+                    report.add(f"context {ci}: members {a} and {b} not orthogonal")
         key = frozenset(ctx)
         if key in seen_ctx:
             report.add(f"contexts {seen_ctx[key]} and {ci}: equal member sets")
@@ -577,14 +608,15 @@ def _overlaps(s: KSSet) -> list[int]:
     i-th of projectors) whose supports meet its own, itself included.  It
     is found once per distinct support, from one mask per coordinate of the
     projectors covering it."""
-    groups: dict[frozenset[int], int] = {}
+    groups: dict[int, int] = {}
     for i, p in enumerate(s.projectors.values()):
         groups[p.support] = groups.get(p.support, 0) | 1 << i
+    coords = {support: list(set_bits(support)) for support in groups}
     cover: dict[int, int] = {}  # not a list: the dimension may be huge
     for support, bits in groups.items():
-        for c in support:
+        for c in coords[support]:
             cover[c] = cover.get(c, 0) | bits
-    near = {support: reduce(or_, map(cover.__getitem__, support), 0)
+    near = {support: reduce(or_, map(cover.__getitem__, coords[support]), 0)
             for support in groups}
     return [near[p.support] for p in s.projectors.values()]
 

@@ -6,9 +6,10 @@ enumerator.  Both are only usable for small sets but are obviously correct.
 The field automorphisms get the same treatment: a coefficient-by-coefficient
 substitution of powers of z read from the reduction table, and so does ray
 equality: a comparison of canonical forms, each ray scaled to a leading 1.
-The orthogonality graph is recomputed from one exact inner product per pair
-of span rays, with no shortcut, and the graph of split block copies is
-spelled out bit by bit from their operand's.  The exhaustive pairing search certifies
+The orthogonality graph, and validate's non-orthogonal pairs, are recomputed
+from one exact inner product per pair of span rays, with no shortcut, and
+the graph of split block copies is spelled out bit by bit from their
+operand's.  The exhaustive pairing search certifies
 that the index-aligned pairing every table row and catalog chain uses,
 default_pairing(9, 7), already gives the most merges.  The greedy
 reduction is replayed as the plain one-scan, one new set and one
@@ -18,6 +19,7 @@ find_assignment per context.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
+from itertools import combinations
 
 from ksets.construct import _check_pairing, _parity_pair
 from ksets.cyclo import _POW, DEGREE, CycNum
@@ -69,6 +71,25 @@ def reference_graph(s: KSSet) -> tuple[int, ...]:
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return tuple(masks)
+
+
+def reference_pair_violations(s: KSSet) -> list[str]:
+    """validate's "not orthogonal" lines for a set whose rays are nonzero and
+    of its dimension and whose contexts name distinct known members: every
+    pair of span rays of each projector, and, when those all pass, every
+    member pair of every context, with one exact inner product per pair of
+    span rays.  No support, overlap or product-memo shortcut."""
+    spans = [f"projector {pid}: span rays {i} and {j} not orthogonal"
+             for pid, p in s.projectors.items()
+             for i, j in combinations(range(p.rank), 2)
+             if not inner(p.span[i], p.span[j]).is_zero()]
+    if spans:
+        return spans
+    return [f"context {ci}: members {a} and {b} not orthogonal"
+            for ci, ctx in enumerate(s.contexts)
+            for a, b in combinations(ctx, 2)
+            if not all(inner(u, v).is_zero() for u in s.projectors[a].span
+                       for v in s.projectors[b].span)]
 
 
 def reference_block_graph(graph: Sequence[int], n: int) -> tuple[int, ...]:

@@ -3,8 +3,9 @@ comparisons, validation and the symbol calculus."""
 
 from __future__ import annotations
 
+from functools import reduce
 from math import lcm
-from operator import mul
+from operator import mul, or_
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +30,7 @@ from ksets.model import (
     orthogonality_graph,
     projector_equal,
     projector_orthogonal,
+    set_bits,
     symbol,
     validate,
 )
@@ -486,8 +488,8 @@ def _reference_pack(ray: Ray) -> tuple:
 def test_pack_of_supported_entries_matches_packing_every_entry(ray):
     # the reference sliced to the window, first to last nonzero entry
     vals, conjs, l, norm1 = _reference_pack(ray)
-    lo = min(ray.support, default=0)
-    hi = max(ray.support, default=-1) + 1
+    lo = min(set_bits(ray.support), default=0)
+    hi = max(set_bits(ray.support), default=-1) + 1
     assert ray._lo == lo
     assert (ray._vals, ray._conjs, ray._lcm, ray._norm1) == (
         vals[lo:hi], conjs[lo:hi], l, norm1)
@@ -672,3 +674,42 @@ def test_projector_equal_false_for_planes_with_same_support():
     assert not projector_equal(p, q)
     assert not projector_equal(p, r)
     assert not projector_equal(r, q)
+
+
+@given(st.sampled_from((*catalog.NAMES, *catalog.SEED_NAMES)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_supports_are_bitmasks_of_the_nonzero_entries(name, data):
+    proj = data.draw(st.sampled_from(list(catalog.seed_set(name).projectors.values())))
+    for ray in proj.span:
+        assert ray.support == sum(
+            1 << i for i, e in enumerate(ray.entries) if not e.is_zero())
+    assert proj.support == reduce(or_, (ray.support for ray in proj.span))
+    prepend, append = data.draw(st.integers(0, 9)), data.draw(st.integers(0, 9))
+    padded = Projector(tuple(ray.padded(prepend, append) for ray in proj.span))
+    for ray, copy in zip(proj.span, padded.span):
+        assert copy.support == ray.support << prepend
+    assert padded.support == proj.support << prepend
+
+
+@pytest.mark.parametrize("chain", _GRAPH_CASES)
+def test_overlaps_match_a_pairwise_and_of_supports(chain):
+    s = build_chain(chain)
+    projs = list(s.projectors.values())
+    assert model._overlaps(s) == [
+        sum(1 << j for j, q in enumerate(projs) if p.support & q.support)
+        for p in projs]
+
+
+def test_a_copy_that_replaces_the_table_is_validated_again():
+    s = catalog.seed_set("d4-18-9")
+    orthogonality_graph(s)
+    first = next(iter(s.projectors))
+    dup = s.copy(projectors={**s.projectors, "dup": s.projectors[first]})
+    assert not dup._validated and dup._orth is None
+    with pytest.raises(ValidationError, match=f"projectors {first} and dup: equal subspaces"):
+        serialize(dup)
+    for changes in ({"contexts": list(s.contexts)}, {"dimension": s.dimension}):
+        changed = s.copy(**changes)
+        assert not changed._validated and changed._orth is None
+    for kept in (s.copy(name="x"), s.copy(_deferred=True)):
+        assert kept._validated and kept._orth is s._orth is not None

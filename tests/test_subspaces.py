@@ -10,11 +10,11 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_ray
-from oracles import reference_ray_equal
+from oracles import reference_pair_violations, reference_ray_equal
 from ksets import catalog, construct, model
 from ksets.cyclo import OMEGA3, SQRT2, SQRT3, ZERO, CycNum, render_scalar, zeta
 from ksets.model import (
@@ -501,3 +501,63 @@ def test_validate_reports_every_pair_whose_product_it_reuses():
         "projector C: span rays 0 and 1 not orthogonal",
         "projector D: span rays 0 and 1 not orthogonal",
     ]
+
+
+def _tilt(s: KSSet, a: str, b: str, k: int) -> KSSet:
+    """A copy of s with span ray k of projector b moved by the first span
+    ray of a.  In a valid s with a and b in one context the moved ray stays
+    orthogonal to the rest of b's span, and is not orthogonal to a."""
+    span = list(s.projectors[b].span)
+    span[k] = Ray([x + y for x, y in zip(span[k].entries,
+                                         s.projectors[a].span[0].entries)])
+    return s.copy(projectors={**s.projectors, b: Projector(tuple(span))})
+
+
+def _not_orthogonal(s: KSSet) -> list[str]:
+    return [line for line in validate(s).issues if line.endswith("not orthogonal")]
+
+
+# Every catalog set and every table build for d <= 10: rank-1 and
+# higher-rank members, and member pairs that share up to nine contexts.
+_PAIR_SOURCES = (*catalog.NAMES, *sorted({
+    chain for d in range(3, 11) for recipe in construct.table_recipe(d)
+    for chain in (recipe.general_chain, recipe.rank1_chain) if chain}))
+
+
+@st.composite
+def _tilted_sets(draw):
+    s = _source(draw(st.sampled_from(_PAIR_SOURCES)))
+    for _ in range(draw(st.integers(1, 2))):
+        ctx = draw(st.sampled_from([c for c in s.contexts if len(c) > 1]))
+        a, b = draw(st.permutations(ctx))[:2]
+        s = _tilt(s, a, b, draw(st.integers(0, s.projectors[b].rank - 1)))
+    assume(not any(ray.is_zero() for p in s.projectors.values() for ray in p.span))
+    return s
+
+
+@given(_tilted_sets())
+@settings(max_examples=60, deadline=None)
+def test_validate_reports_the_pairs_an_exact_check_finds(s):
+    assert _not_orthogonal(s) == reference_pair_violations(s)
+
+
+@pytest.mark.parametrize("chain", [
+    "rank_scale(d5-29-16, 2)",
+    "ceg(rank_scale(d4-18-9-rot, 1), 7)",
+    "pz_improved(d4-18-9, split_ranks(rank_scale(d6-21-7, 1)))",
+])
+def test_a_bad_pair_is_reported_in_every_context_that_holds_it(chain):
+    s = _source(chain)
+    sigs = s.signatures()
+    # the member pair that shares the most contexts, of the highest rank
+    a, b = max(
+        (pair for ctx in s.contexts for pair in itertools.combinations(ctx, 2)),
+        key=lambda pair: ((sigs[pair[0]] & sigs[pair[1]]).bit_count(),
+                          s.projectors[pair[1]].rank))
+    shared = (sigs[a] & sigs[b]).bit_count()
+    assert shared >= 2
+    bad = _tilt(s, a, b, 0)
+    lines = _not_orthogonal(bad)
+    assert lines == reference_pair_violations(bad)
+    assert sum(f"members {a} and {b} not" in line or f"members {b} and {a} not" in line
+               for line in lines) == shared
